@@ -84,7 +84,7 @@ func runLoadgen(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
+		httpSrv := newHTTPServer(srv.Handler())
 		go httpSrv.Serve(ln)
 		defer httpSrv.Close()
 		base = "http://" + ln.Addr().String()

@@ -109,7 +109,7 @@ func serve(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stderr, "closnetd: listening on http://%s\n", ln.Addr())
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -131,6 +131,22 @@ func serve(ctx context.Context, args []string, stderr io.Writer) error {
 	<-serveErr // http.ErrServerClosed after a clean Shutdown
 	fmt.Fprintln(stderr, "closnetd: shutdown complete")
 	return nil
+}
+
+// Connection timeouts of the daemon's http.Server. A client that
+// opens a connection and trickles its request headers is cut off after
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so neither can hold a connection (and its goroutine)
+// forever. Request bodies are bounded by the server's size limit and
+// computations by -timeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // noneIfZero maps the CLI convention (0 disables) onto the Options

@@ -154,3 +154,19 @@ func TestLoadgenRejectsBadValues(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection timeouts of the daemon's
+// http.Server: a zero value would let a client hold a connection open
+// forever by trickling headers or idling on keep-alive.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("handler not installed")
+	}
+}

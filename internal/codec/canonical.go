@@ -1,12 +1,15 @@
 package codec
 
 import (
+	"cmp"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"math/big"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
+
+	"closnet/internal/rational"
 )
 
 // Canonical returns the canonical form of a scenario: the unique
@@ -31,10 +34,100 @@ import (
 // of the instance as stated, and evaluation results are reported in
 // canonical flow order.
 func Canonical(s *Scenario) (*Scenario, error) {
-	perm, demands, err := canonicalPerm(s)
+	c, _, err := canonicalize(s)
+	return c, err
+}
+
+// Canonicalized is the outcome of one canonicalization pass over a
+// scenario: everything the serving layers key on, computed together so
+// no request pays for canonicalizing twice.
+type Canonicalized struct {
+	// Scenario is the canonical form (Canonical).
+	Scenario *Scenario
+	// Perm is the permutation applied to the flow list: Perm[i] is the
+	// index in the input's Flows of the i-th canonical flow. Callers
+	// that track per-flow state keyed by original position (the session
+	// layer of internal/engine) use it to report rates in canonical
+	// order.
+	Perm []int
+	// Hash is the content address, as (*Scenario).Hash returns it.
+	Hash [32]byte
+	// TopologyHash is the topology address, as TopologyHash returns it.
+	TopologyHash [32]byte
+}
+
+// Canonicalize canonicalizes s once and returns the canonical form, its
+// permutation, its content hash and its topology hash.
+//
+// Both hashes come from one encoding. The content hash is the SHA-256
+// of the compact JSON encoding of the canonical form. The stripped
+// scenario TopologyHash commits to — canonical form minus demands and
+// assignment (the name is already gone) — encodes to a byte prefix of
+// that encoding: the fields before "demands" are identical and
+// identically ordered, so the stripped encoding is the canonical one
+// cut after the flows array and closed with '}'.
+func Canonicalize(s *Scenario) (*Canonicalized, error) {
+	c, perm, err := canonicalize(s)
 	if err != nil {
 		return nil, err
 	}
+	// Room for the shape plus ~64 bytes per flow, 8 per demand and 2
+	// per middle, so the encoding does not regrow.
+	buf := make([]byte, 0, 64+64*len(c.Flows)+8*len(c.Demands)+2*len(c.Assignment))
+	data, flowsEnd := appendCanonicalJSON(buf, c)
+	out := &Canonicalized{Scenario: c, Perm: perm, Hash: sha256.Sum256(data)}
+	h := sha256.New()
+	h.Write(data[:flowsEnd])
+	h.Write([]byte{'}'})
+	h.Sum(out.TopologyHash[:0])
+	return out, nil
+}
+
+// canonicalize validates s and builds its canonical form together with
+// the flow permutation.
+func canonicalize(s *Scenario) (*Scenario, []int, error) {
+	if err := s.validate(); err != nil {
+		return nil, nil, err
+	}
+	demands := make([]demand, len(s.Demands))
+	for fi, str := range s.Demands {
+		d, err := parseDemand(fi, str)
+		if err != nil {
+			return nil, nil, err
+		}
+		demands[fi] = d
+	}
+
+	perm := make([]int, len(s.Flows))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int {
+		fa, fb := s.Flows[a], s.Flows[b]
+		if c := cmp.Compare(fa.SrcSwitch, fb.SrcSwitch); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(fa.SrcServer, fb.SrcServer); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(fa.DstSwitch, fb.DstSwitch); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(fa.DstServer, fb.DstServer); c != 0 {
+			return c
+		}
+		// Demands compare numerically, on the values parsed above.
+		if len(demands) > 0 {
+			if c := demands[a].cmp(demands[b]); c != 0 {
+				return c
+			}
+		}
+		if len(s.Assignment) > 0 {
+			return cmp.Compare(s.Assignment[a], s.Assignment[b])
+		}
+		return 0
+	})
+
 	c := &Scenario{
 		Topology: s.Topology,
 		Tors:     s.Tors,
@@ -53,7 +146,7 @@ func Canonical(s *Scenario) (*Scenario, error) {
 	if s.Demands != nil {
 		c.Demands = make([]string, len(demands))
 		for i, fi := range perm {
-			c.Demands[i] = demands[fi]
+			c.Demands[i] = demands[fi].String()
 		}
 	}
 	if s.Assignment != nil {
@@ -62,68 +155,127 @@ func Canonical(s *Scenario) (*Scenario, error) {
 			c.Assignment[i] = s.Assignment[fi]
 		}
 	}
-	return c, nil
+	return c, perm, nil
 }
 
-// CanonicalPerm returns the permutation Canonical applies to the flow
-// list: perm[i] is the index in s.Flows of the i-th canonical flow.
-// Callers that track per-flow state keyed by original position (the
-// session layer of internal/engine) use it to report rates in the same
-// canonical order the scenario's content address commits to.
-func CanonicalPerm(s *Scenario) ([]int, error) {
-	perm, _, err := canonicalPerm(s)
-	return perm, err
+// demand is one parsed demand value: a Rat64 when it fits, the big.Rat
+// otherwise.
+type demand struct {
+	r   rational.Rat64
+	big *big.Rat // non-nil when the value does not fit a Rat64
 }
 
-// canonicalPerm validates s and computes the canonical flow permutation
-// together with the normalized demand strings (RatString form), which
-// both Canonical and CanonicalPerm need.
-func canonicalPerm(s *Scenario) (perm []int, demands []string, err error) {
-	if err := s.validate(); err != nil {
-		return nil, nil, err
-	}
-	demands = make([]string, len(s.Demands))
-	for fi, str := range s.Demands {
+// parseDemand parses flow fi's demand string, taking the allocation-
+// free rational.ParseRat64 path for plain "p" and "p/q" strings and
+// big.Rat.SetString for everything else, so the accepted strings and
+// the values are exactly SetString's.
+func parseDemand(fi int, str string) (demand, error) {
+	var d demand
+	if r, ok := rational.ParseRat64(str); ok {
+		d.r = r
+	} else {
 		r, ok := new(big.Rat).SetString(str)
 		if !ok {
-			return nil, nil, fmt.Errorf("codec: flow %d demand %q is not a rational", fi, str)
+			return demand{}, fmt.Errorf("codec: flow %d demand %q is not a rational", fi, str)
 		}
-		if r.Sign() < 0 {
-			return nil, nil, fmt.Errorf("codec: flow %d demand %q is negative", fi, str)
+		if d.r, ok = rational.FromRat(r); !ok {
+			d.big = r
 		}
-		demands[fi] = r.RatString()
 	}
+	if d.sign() < 0 {
+		return demand{}, fmt.Errorf("codec: flow %d demand %q is negative", fi, str)
+	}
+	return d, nil
+}
 
-	perm = make([]int, len(s.Flows))
-	for i := range perm {
-		perm[i] = i
+func (d demand) sign() int {
+	if d.big != nil {
+		return d.big.Sign()
 	}
-	flowLess := func(a, b int) bool {
-		fa, fb := s.Flows[a], s.Flows[b]
-		switch {
-		case fa.SrcSwitch != fb.SrcSwitch:
-			return fa.SrcSwitch < fb.SrcSwitch
-		case fa.SrcServer != fb.SrcServer:
-			return fa.SrcServer < fb.SrcServer
-		case fa.DstSwitch != fb.DstSwitch:
-			return fa.DstSwitch < fb.DstSwitch
-		case fa.DstServer != fb.DstServer:
-			return fa.DstServer < fb.DstServer
-		}
-		if len(demands) > 0 && demands[a] != demands[b] {
-			// Compare numerically, not textually: the strings are already
-			// normalized, but "2" vs "11" must order as rationals.
-			ra, _ := new(big.Rat).SetString(demands[a])
-			rb, _ := new(big.Rat).SetString(demands[b])
-			return ra.Cmp(rb) < 0
-		}
-		if len(s.Assignment) > 0 && s.Assignment[a] != s.Assignment[b] {
-			return s.Assignment[a] < s.Assignment[b]
-		}
-		return false
+	return d.r.Sign()
+}
+
+// rat returns the value as a *big.Rat, to be treated as immutable.
+func (d demand) rat() *big.Rat {
+	if d.big != nil {
+		return d.big
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return flowLess(perm[i], perm[j]) })
-	return perm, demands, nil
+	return d.r.Rat()
+}
+
+// String returns the big.Rat.RatString form of the value.
+func (d demand) String() string {
+	if d.big != nil {
+		return d.big.RatString()
+	}
+	return d.r.String()
+}
+
+func (d demand) cmp(e demand) int {
+	if d.big == nil && e.big == nil {
+		return d.r.Cmp(e.r)
+	}
+	return d.rat().Cmp(e.rat())
+}
+
+// appendCanonicalJSON appends the compact JSON encoding of the
+// canonical scenario c — byte-identical to json.Marshal(c) — and
+// returns it with the length of the prefix that ends with the flows
+// array. No string needs escaping: the topology is a validated family
+// name and demands are RatString forms (digits, '-', '/').
+func appendCanonicalJSON(b []byte, c *Scenario) ([]byte, int) {
+	b = append(b, '{')
+	if c.Topology != "" {
+		b = append(b, `"topology":"`...)
+		b = append(b, c.Topology...)
+		b = append(b, `",`...)
+	}
+	b = append(b, `"tors":`...)
+	b = strconv.AppendInt(b, int64(c.Tors), 10)
+	b = append(b, `,"servers":`...)
+	b = strconv.AppendInt(b, int64(c.Servers), 10)
+	b = append(b, `,"middles":`...)
+	b = strconv.AppendInt(b, int64(c.Middles), 10)
+	b = append(b, `,"flows":[`...)
+	for i, f := range c.Flows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"srcSwitch":`...)
+		b = strconv.AppendInt(b, int64(f.SrcSwitch), 10)
+		b = append(b, `,"srcServer":`...)
+		b = strconv.AppendInt(b, int64(f.SrcServer), 10)
+		b = append(b, `,"dstSwitch":`...)
+		b = strconv.AppendInt(b, int64(f.DstSwitch), 10)
+		b = append(b, `,"dstServer":`...)
+		b = strconv.AppendInt(b, int64(f.DstServer), 10)
+		b = append(b, '}')
+	}
+	b = append(b, ']')
+	flowsEnd := len(b)
+	if len(c.Demands) > 0 {
+		b = append(b, `,"demands":[`...)
+		for i, d := range c.Demands {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '"')
+			b = append(b, d...)
+			b = append(b, '"')
+		}
+		b = append(b, ']')
+	}
+	if len(c.Assignment) > 0 {
+		b = append(b, `,"assignment":[`...)
+		for i, m := range c.Assignment {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(m), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), flowsEnd
 }
 
 // Hash returns the SHA-256 content address of the scenario: the hash
@@ -132,32 +284,21 @@ func canonicalPerm(s *Scenario) (perm []int, demands []string, err error) {
 // representation and name — hash equal; any change to the shape, the
 // flows, a demand value or the assignment changes the hash.
 func (s *Scenario) Hash() ([32]byte, error) {
-	_, sum, err := CanonicalHash(s)
-	return sum, err
-}
-
-// CanonicalHash canonicalizes s once and returns both the canonical
-// form and its content address — the serving layer needs the pair and
-// must not pay for two canonicalization passes on its hot path.
-func CanonicalHash(s *Scenario) (*Scenario, [32]byte, error) {
-	c, err := Canonical(s)
+	cz, err := Canonicalize(s)
 	if err != nil {
-		return nil, [32]byte{}, err
+		return [32]byte{}, err
 	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		return nil, [32]byte{}, fmt.Errorf("codec: %w", err)
-	}
-	return c, sha256.Sum256(data), nil
+	return cz.Hash, nil
 }
 
 // TopologyHash returns the SHA-256 address of the scenario's topology:
-// the shape (tors, servers, middles) plus the canonically ordered flow
-// list, with the name, demands and assignment stripped. Scenarios that
-// share a topology hash build the identical (Fabric, Collection) pair
-// from Canonical(s).Build(), so evaluator state prepared for one can
-// evaluate any assignment of the other — the key of the serving
-// layer's shared-evaluator pool (internal/engine).
+// the hash of the compact JSON encoding of its canonical form with the
+// demands and assignment stripped (the shape plus the canonically
+// ordered flow list). Scenarios that share a topology hash build the
+// identical (Fabric, Collection) pair from their canonical forms, so
+// evaluator state prepared for one can evaluate any assignment of the
+// other — the key of the serving layer's shared-evaluator pool
+// (internal/engine).
 //
 // Ties in the canonical flow sort that are broken by demand or
 // assignment only occur between flows identical in all four endpoint
@@ -165,22 +306,11 @@ func CanonicalHash(s *Scenario) (*Scenario, [32]byte, error) {
 // sees — is uniquely determined by the hashed value: equal hashes can
 // never alias two different flow collections.
 func TopologyHash(s *Scenario) ([32]byte, error) {
-	c, err := Canonical(s)
+	cz, err := Canonicalize(s)
 	if err != nil {
 		return [32]byte{}, err
 	}
-	stripped := &Scenario{
-		Topology: c.Topology,
-		Tors:     c.Tors,
-		Servers:  c.Servers,
-		Middles:  c.Middles,
-		Flows:    c.Flows,
-	}
-	data, err := json.Marshal(stripped)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("codec: %w", err)
-	}
-	return sha256.Sum256(data), nil
+	return cz.TopologyHash, nil
 }
 
 // LoadFile reads and decodes a scenario file — the one JSON-reading

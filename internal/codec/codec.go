@@ -7,7 +7,6 @@ package codec
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
 
 	"closnet/internal/adversary"
 	"closnet/internal/core"
@@ -144,30 +143,44 @@ func (s *Scenario) Build() (topology.Fabric, core.Collection, rational.Vec, core
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	fs := make(core.Collection, len(s.Flows))
-	for fi, f := range s.Flows {
-		fs[fi] = core.Flow{
-			Src: c.Source(f.SrcSwitch, f.SrcServer),
-			Dst: c.Dest(f.DstSwitch, f.DstServer),
-		}
-	}
-	var demands rational.Vec
-	if s.Demands != nil {
-		demands = make(rational.Vec, len(s.Demands))
-		for fi, str := range s.Demands {
-			r, ok := new(big.Rat).SetString(str)
-			if !ok {
-				return nil, nil, nil, nil, fmt.Errorf("codec: flow %d demand %q is not a rational", fi, str)
-			}
-			if r.Sign() < 0 {
-				return nil, nil, nil, nil, fmt.Errorf("codec: flow %d demand %q is negative", fi, str)
-			}
-			demands[fi] = r
-		}
+	demands, err := s.DemandVec()
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	var ma core.MiddleAssignment
 	if s.Assignment != nil {
 		ma = append(core.MiddleAssignment(nil), s.Assignment...)
 	}
-	return c, fs, demands, ma, nil
+	return c, s.ResolveFlows(c), demands, ma, nil
+}
+
+// ResolveFlows maps the scenario's flows onto fab, which must be the
+// fabric of the scenario's family and shape (Build's, or an equal one
+// shared across requests). The scenario must be valid: an index out of
+// fab's range panics.
+func (s *Scenario) ResolveFlows(fab topology.Fabric) core.Collection {
+	fs := make(core.Collection, len(s.Flows))
+	for fi, f := range s.Flows {
+		fs[fi] = core.Flow{
+			Src: fab.Source(f.SrcSwitch, f.SrcServer),
+			Dst: fab.Dest(f.DstSwitch, f.DstServer),
+		}
+	}
+	return fs
+}
+
+// DemandVec parses the demand strings, nil when the scenario has none.
+func (s *Scenario) DemandVec() (rational.Vec, error) {
+	if s.Demands == nil {
+		return nil, nil
+	}
+	demands := make(rational.Vec, len(s.Demands))
+	for fi, str := range s.Demands {
+		d, err := parseDemand(fi, str)
+		if err != nil {
+			return nil, err
+		}
+		demands[fi] = d.rat()
+	}
+	return demands, nil
 }

@@ -19,7 +19,7 @@ const (
 // Delta is one mutation of a session's live scenario — the wire format
 // of POST /v1/session/{id}/delta. The response after every delta
 // reports the session's state in canonical scenario order with its
-// CanonicalHash, so a replayed delta sequence is directly comparable
+// content hash, so a replayed delta sequence is directly comparable
 // (hash-equal) to a one-shot /v1/evaluate of the end state.
 type Delta struct {
 	Op string `json:"op"`

@@ -69,14 +69,11 @@ func TestCanonicalPermMatchesCanonical(t *testing.T) {
 		},
 		Assignment: []int{1, 2, 3, 1, 2},
 	}
-	perm, err := CanonicalPerm(s)
+	cz, err := Canonicalize(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Canonical(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perm, c := cz.Perm, cz.Scenario
 	if len(perm) != len(s.Flows) {
 		t.Fatalf("perm length %d", len(perm))
 	}
@@ -88,7 +85,7 @@ func TestCanonicalPermMatchesCanonical(t *testing.T) {
 			t.Fatalf("perm[%d]=%d: assignment %d != canonical %d", i, fi, s.Assignment[fi], c.Assignment[i])
 		}
 	}
-	if _, err := CanonicalPerm(&Scenario{Tors: 0}); err == nil {
+	if _, err := Canonicalize(&Scenario{Tors: 0}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }

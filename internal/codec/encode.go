@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/json"
+	"math/big"
 
 	"closnet/internal/core"
 	"closnet/internal/rational"
@@ -16,6 +17,30 @@ func RateStrings(a core.Allocation) []string {
 		out[i] = rational.String(r)
 	}
 	return out
+}
+
+// RateStrings64 renders a Rat64 rate lane and its sum, exactly as
+// RateStrings and rational.String(core.Throughput(a)) render the same
+// allocation a: Rat64.String is the RatString form, and the sum is
+// accumulated in Rat64 with overflow checks, finishing on big.Rat only
+// if a partial sum overflows.
+func RateStrings64(lane []rational.Rat64) (rates []string, throughput string) {
+	rates = make([]string, len(lane))
+	sum, ok := rational.Zero64(), true
+	for i, r := range lane {
+		rates[i] = r.String()
+		if ok {
+			sum, ok = sum.Add(r)
+		}
+	}
+	if ok {
+		return rates, sum.String()
+	}
+	total := new(big.Rat)
+	for _, r := range lane {
+		total.Add(total, r.Rat())
+	}
+	return rates, rational.String(total)
 }
 
 // MarshalBody encodes a response value as compact JSON with a trailing

@@ -13,6 +13,10 @@ func FuzzDecode(f *testing.F) {
 	// Rate-string normalization seed: "2/4" must canonicalize (and hash)
 	// exactly like "1/2".
 	f.Add([]byte(`{"tors":2,"servers":1,"middles":2,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1}],"demands":["2/4"],"assignment":[2]}`))
+	// Demand fallback seeds: forms only big.Rat parses, and a value too
+	// large for a Rat64.
+	f.Add([]byte(`{"topology":"clos","tors":2,"servers":1,"middles":2,"flows":[{"srcSwitch":2,"srcServer":1,"dstSwitch":1,"dstServer":1},{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1}],"demands":["1.5","010/3"]}`))
+	f.Add([]byte(`{"tors":1,"servers":2,"middles":1,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":1,"dstServer":1},{"srcSwitch":1,"srcServer":1,"dstSwitch":1,"dstServer":1}],"demands":["123456789012345678901234567890/7","1e30"],"assignment":[1,1]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
@@ -44,6 +48,18 @@ func FuzzDecode(f *testing.F) {
 		}
 		if h1 != h2 {
 			t.Fatalf("hash is not a fixed point of canonicalization: %x vs %x", h1, h2)
+		}
+		// The one-pass hashes equal the direct json.Marshal ones.
+		cz, err := Canonicalize(s)
+		if err != nil {
+			t.Fatalf("buildable scenario failed to canonicalize in one pass: %v", err)
+		}
+		hash, topo, err := referenceHashes(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cz.Hash != hash || cz.TopologyHash != topo {
+			t.Fatalf("one-pass hashes (%x, %x) differ from the reference (%x, %x)", cz.Hash, cz.TopologyHash, hash, topo)
 		}
 	})
 }

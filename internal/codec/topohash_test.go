@@ -1,6 +1,36 @@
 package codec
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"testing"
+)
+
+// referenceHashes is the test oracle of Canonicalize's two hashes,
+// computed the direct way: the content hash is SHA-256 over
+// json.Marshal of the canonical form, the topology hash SHA-256 over
+// json.Marshal of the canonical form with demands and assignment
+// stripped — no shared encoding, no prefix argument.
+func referenceHashes(s *Scenario) (hash, topo [32]byte, err error) {
+	c, err := Canonical(s)
+	if err != nil {
+		return hash, topo, err
+	}
+	full, err := json.Marshal(c)
+	if err != nil {
+		return hash, topo, err
+	}
+	stripped, err := json.Marshal(&Scenario{
+		Topology: c.Topology, Tors: c.Tors, Servers: c.Servers, Middles: c.Middles, Flows: c.Flows,
+	})
+	if err != nil {
+		return hash, topo, err
+	}
+	return sha256.Sum256(full), sha256.Sum256(stripped), nil
+}
+
+// ReferenceHashes exports the oracle to the external test package.
+var ReferenceHashes = referenceHashes
 
 func topoScenario() *Scenario {
 	return &Scenario{

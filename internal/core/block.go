@@ -110,7 +110,7 @@ func NewBlockEvaluator(c topology.Fabric, fs Collection) (*BlockEvaluator, error
 		return nil, err
 	}
 	b := &BlockEvaluator{ev: ev, nf: ev.nf, n: ev.n, nfin: len(ev.finiteIDs), fast: ev.fast}
-	denseOf := make([]int32, len(ev.links))
+	denseOf := make([]int32, len(ev.finite))
 	for i := range denseOf {
 		denseOf[i] = -1
 	}
@@ -119,18 +119,24 @@ func NewBlockEvaluator(c topology.Fabric, fs Collection) (*BlockEvaluator, error
 		denseOf[id] = int32(j)
 		b.caps[j] = ev.caps64[id]
 	}
+	// The lane lists are carved out of shared backing arrays sized for
+	// four-hop (Clos) paths. Longer paths make append move lanes to a
+	// larger array; lists already carved keep pointing into the old one,
+	// which stays valid, and the capped slices never append into each
+	// other.
 	b.finPaths = make([][][]int32, b.nf)
+	rows := make([][]int32, b.nf*b.n)
+	lanes := make([]int32, 0, 4*b.nf*b.n)
 	for fi := 0; fi < b.nf; fi++ {
-		b.finPaths[fi] = make([][]int32, b.n)
+		b.finPaths[fi] = rows[fi*b.n : (fi+1)*b.n : (fi+1)*b.n]
 		for m := 0; m < b.n; m++ {
-			p := ev.paths[fi][m]
-			lanes := make([]int32, 0, len(p))
-			for _, l := range p {
+			start := len(lanes)
+			for _, l := range ev.paths[fi][m] {
 				if j := denseOf[l]; j >= 0 {
 					lanes = append(lanes, j)
 				}
 			}
-			b.finPaths[fi][m] = lanes
+			b.finPaths[fi][m] = lanes[start:len(lanes):len(lanes)]
 		}
 	}
 	b.remN = make([]int64, b.nfin)

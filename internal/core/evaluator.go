@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
 
 	"closnet/internal/obs"
 	"closnet/internal/rational"
@@ -32,16 +31,20 @@ import (
 // progressive-filling algorithm over the same link order, so the
 // results are identical rationals.
 type Evaluator struct {
-	nf    int
-	n     int
-	links []topology.Link
+	nf int
+	n  int
 	// paths[fi][m-1] is flow fi's path via middle switch m.
 	paths [][]topology.Path
 
-	// Scratch reused across Eval calls, indexed by LinkID (link IDs are
-	// dense: 0..len(links)-1) or by flow index.
-	active []int
+	// finite[id] reports whether link id has a finite capacity (link IDs
+	// are dense: 0..NumLinks()-1).
 	finite []bool
+
+	// Per-state scratch reused across Eval calls, indexed by LinkID or
+	// by flow index. It is allocated by the first Eval, so an Evaluator
+	// embedded in a BlockEvaluator — which fills on its own lanes — never
+	// pays for it unless a state is promoted.
+	active []int
 	frozen []bool
 	on     [][]int
 
@@ -53,6 +56,7 @@ type Evaluator struct {
 	// Small-word fast path: capacities and remaining headroom as flat
 	// Rat64 values. fast is false when some finite capacity does not fit
 	// in an int64 fraction, in which case every Eval takes the big path.
+	// rem64 is per-state scratch, allocated with active.
 	caps64   []rational.Rat64
 	rem64    []rational.Rat64
 	fast     bool
@@ -73,7 +77,9 @@ type Evaluator struct {
 
 	// big.Rat scratch for the promotion path: remaining capacities plus
 	// reusable receivers for the round arithmetic and the integer
-	// cross-multiplied min-delta comparisons.
+	// cross-multiplied min-delta comparisons. Allocated by the first
+	// evalBig (remaining == nil until then): on the unit-capacity
+	// instances of the paper no state is ever promoted.
 	remaining              []*big.Rat
 	caps                   []*big.Rat
 	actRat                 *big.Rat
@@ -86,10 +92,12 @@ type Evaluator struct {
 // NewEvaluator prepares repeated max-min fair evaluations of fs over c.
 // It fails if any flow endpoint is not a server of c.
 func NewEvaluator(c topology.Fabric, fs Collection) (*Evaluator, error) {
-	e := &Evaluator{nf: len(fs), n: c.Size(), links: c.Network().Links()}
+	e := &Evaluator{nf: len(fs), n: c.Size()}
+	// One backing array holds every flow's row of paths.
 	e.paths = make([][]topology.Path, len(fs))
+	rows := make([]topology.Path, len(fs)*e.n)
 	for fi, f := range fs {
-		e.paths[fi] = make([]topology.Path, e.n)
+		e.paths[fi] = rows[fi*e.n : (fi+1)*e.n : (fi+1)*e.n]
 		for m := 1; m <= e.n; m++ {
 			p, err := c.Path(f.Src, f.Dst, m)
 			if err != nil {
@@ -98,37 +106,27 @@ func NewEvaluator(c topology.Fabric, fs Collection) (*Evaluator, error) {
 			e.paths[fi][m-1] = p
 		}
 	}
-	nl := len(e.links)
-	e.remaining = make([]*big.Rat, nl)
-	e.active = make([]int, nl)
+	net := c.Network()
+	nl := net.NumLinks()
 	e.finite = make([]bool, nl)
-	e.on = make([][]int, nl)
 	e.caps = make([]*big.Rat, nl)
 	e.caps64 = make([]rational.Rat64, nl)
-	e.rem64 = make([]rational.Rat64, nl)
 	e.fast = true
-	for _, l := range e.links {
+	// Visiting links in ID order leaves finiteIDs ascending.
+	for id := 0; id < nl; id++ {
+		l := net.Link(topology.LinkID(id))
 		if l.Unbounded {
 			continue
 		}
-		e.finite[l.ID] = true
-		e.remaining[l.ID] = new(big.Rat)
-		e.caps[l.ID] = l.Capacity
+		e.finite[id] = true
+		e.caps[id] = l.Capacity
 		if c64, ok := l.Capacity64(); ok {
-			e.caps64[l.ID] = c64
+			e.caps64[id] = c64
 		} else {
 			e.fast = false
 		}
 		e.finiteIDs = append(e.finiteIDs, l.ID)
 	}
-	sort.Slice(e.finiteIDs, func(a, b int) bool { return e.finiteIDs[a] < e.finiteIDs[b] })
-	e.frozen = make([]bool, len(fs))
-	e.actRat = new(big.Rat)
-	e.delta = new(big.Rat)
-	e.tmp = new(big.Rat)
-	e.level = new(big.Rat)
-	e.xInt, e.yInt = new(big.Int), new(big.Int)
-	e.aInt, e.bInt = new(big.Int), new(big.Int)
 	return e, nil
 }
 
@@ -198,6 +196,13 @@ func (e *Evaluator) Eval(ma MiddleAssignment) (Allocation, error) {
 // every flow's chosen path, rebuilding the flows-on-link lists and
 // active counts for the assignment.
 func (e *Evaluator) register(ma MiddleAssignment) {
+	if e.on == nil {
+		nl := len(e.finite)
+		e.active = make([]int, nl)
+		e.on = make([][]int, nl)
+		e.rem64 = make([]rational.Rat64, nl)
+		e.frozen = make([]bool, e.nf)
+	}
 	for id := range e.on {
 		e.on[id] = e.on[id][:0]
 		e.active[id] = 0
@@ -317,6 +322,14 @@ func (e *Evaluator) eval64(ma MiddleAssignment) (Allocation, bool, error) {
 // It serves as the promotion target of eval64 and as the independent
 // oracle of the differential tests.
 func (e *Evaluator) evalBig(ma MiddleAssignment) (Allocation, error) {
+	if e.remaining == nil {
+		e.remaining = make([]*big.Rat, len(e.finite))
+		for _, id := range e.finiteIDs {
+			e.remaining[id] = new(big.Rat)
+		}
+		e.actRat, e.delta, e.tmp, e.level = new(big.Rat), new(big.Rat), new(big.Rat), new(big.Rat)
+		e.xInt, e.yInt, e.aInt, e.bInt = new(big.Int), new(big.Int), new(big.Int), new(big.Int)
+	}
 	e.register(ma)
 	for _, id := range e.finiteIDs {
 		e.remaining[id].Set(e.caps[id])

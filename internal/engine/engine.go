@@ -7,8 +7,9 @@
 // duplicated per transport:
 //
 //   - canonicalization: every computation runs on the canonical form of
-//     its scenario (codec.CanonicalHash), so semantically equal requests
-//     share one content address and one response body;
+//     its scenario (codec.Canonicalize, one pass per request), so
+//     semantically equal requests share one content address and one
+//     response body;
 //   - deterministic encoding: each op produces a single-line compact
 //     JSON body (codec.MarshalBody) that is byte-identical across
 //     transports, cacheable, and concatenable into batch responses;
@@ -29,6 +30,7 @@ import (
 	"closnet/internal/codec"
 	"closnet/internal/obs"
 	"closnet/internal/search"
+	"closnet/internal/topology"
 )
 
 // The registered operation names. The :pruned search variants run the
@@ -77,12 +79,15 @@ type Request struct {
 }
 
 // Prepared is a canonicalized, content-addressed request: the validated
-// op, the canonical scenario, and its SHA-256 content hash. Transports
-// that cache or coalesce key on (Op, Hash) before computing.
+// op, the canonical scenario, its SHA-256 content hash and its topology
+// hash, all from one codec.Canonicalize pass. Transports that cache or
+// coalesce key on (Op, Hash) before computing; the evaluate op keys its
+// evaluator pool on TopoHash.
 type Prepared struct {
-	Op    string
-	Canon *codec.Scenario
-	Hash  [32]byte
+	Op       string
+	Canon    *codec.Scenario
+	Hash     [32]byte
+	TopoHash [32]byte
 }
 
 // Response is one computed result: the op, the content address of the
@@ -94,16 +99,19 @@ type Response struct {
 }
 
 // computeFunc is one registered operation: it computes over the
-// canonical scenario and returns the encoded response body. It must
-// honor ctx and must be deterministic — same canonical scenario, same
-// bytes.
-type computeFunc func(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error)
+// prepared request's canonical scenario and returns the encoded
+// response body. It must honor ctx and must be deterministic — same
+// canonical scenario, same bytes.
+type computeFunc func(ctx context.Context, e *Engine, p *Prepared) ([]byte, error)
 
 // Engine dispatches requests through the op registry. Create with New;
 // an Engine is immutable and safe for concurrent use.
 type Engine struct {
 	opts Options
 	ops  map[string]computeFunc
+	// fabrics shares built fabrics across requests of one shape
+	// (fabrics.go).
+	fabrics *fabricTable
 	// evals shares prepared block evaluators across requests with equal
 	// codec.TopologyHash — batch items sweeping assignments over one
 	// topology build the SoA evaluator once (evalpool.go).
@@ -120,6 +128,7 @@ type Engine struct {
 // New builds an Engine with the standard op registry.
 func New(opts Options) *Engine {
 	reg := opts.Obs.Registry()
+	fabrics := newFabricTable()
 	return &Engine{
 		opts: opts,
 		ops: map[string]computeFunc{
@@ -131,8 +140,9 @@ func New(opts Options) *Engine {
 			OpSearchThroughputPruned: searchOp("throughput", true),
 			OpDoom:                   computeDoom,
 		},
+		fabrics:   fabrics,
 		evals:     newEvalPool(opts.Obs),
-		sessions:  newSessions(opts),
+		sessions:  newSessions(opts, fabrics),
 		mComputes: reg.Counter("engine.computes"),
 		mErrors:   reg.Counter("engine.errors"),
 		mLatency:  reg.Timer("engine.compute_latency"),
@@ -187,11 +197,11 @@ func (e *Engine) Prepare(req Request) (*Prepared, error) {
 	if req.Scenario == nil {
 		return nil, fmt.Errorf("engine: op %q without a scenario", req.Op)
 	}
-	canon, hash, err := codec.CanonicalHash(req.Scenario)
+	cz, err := codec.Canonicalize(req.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Op: req.Op, Canon: canon, Hash: hash}, nil
+	return &Prepared{Op: req.Op, Canon: cz.Scenario, Hash: cz.Hash, TopoHash: cz.TopologyHash}, nil
 }
 
 // Compute runs one prepared request through the op registry and
@@ -206,7 +216,7 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 	sp, ctx := obs.StartSpan(ctx, "engine.compute")
 	sp.Attr("op", p.Op)
 	start := time.Now()
-	body, err := fn(ctx, e, p.Canon, p.Hash)
+	body, err := fn(ctx, e, p)
 	elapsed := time.Since(start)
 	sp.Attr("ok", err == nil).End()
 	e.mComputes.Inc()
@@ -222,6 +232,11 @@ func (e *Engine) Compute(ctx context.Context, p *Prepared) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
+}
+
+// fabric returns the shared fabric of the canonical scenario's shape.
+func (e *Engine) fabric(canon *codec.Scenario) (topology.Fabric, error) {
+	return e.fabrics.get(canon.Topology, canon.Tors, canon.Servers, canon.Middles)
 }
 
 // Run is the single-call entry point: Prepare then Compute.

@@ -6,6 +6,7 @@ import (
 	"closnet/internal/codec"
 	"closnet/internal/core"
 	"closnet/internal/obs"
+	"closnet/internal/topology"
 )
 
 // maxPooledTopologies bounds the number of distinct topology keys the
@@ -109,24 +110,18 @@ func (p *evalPool) put(key [32]byte, bev *core.BlockEvaluator) {
 	p.free[key] = append(stack, bev)
 }
 
-// acquire checks an evaluator for canon's topology out of the pool,
-// building (and instrumenting) a fresh one on a miss. The returned put
-// func returns the evaluator for reuse; callers must not touch the
-// evaluator or any scratch-aliasing BlockResult views after put.
-func (p *evalPool) acquire(canon *codec.Scenario, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
-	key, err := codec.TopologyHash(canon)
-	if err != nil {
-		return nil, nil, err
-	}
+// acquire checks an evaluator for the prepared scenario's topology
+// (key = its codec.TopologyHash) out of the pool, building (and
+// instrumenting) a fresh one on the shared fabric fab on a miss. The
+// returned put func returns the evaluator for reuse; callers must not
+// touch the evaluator or any scratch-aliasing BlockResult views after
+// put.
+func (p *evalPool) acquire(key [32]byte, canon *codec.Scenario, fab topology.Fabric, o *obs.Obs) (*core.BlockEvaluator, func(), error) {
 	if bev := p.get(key); bev != nil {
 		p.reuses.Inc()
 		return bev, func() { p.put(key, bev) }, nil
 	}
-	c, fs, _, _, err := canon.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	bev, err := core.NewBlockEvaluator(c, fs)
+	bev, err := core.NewBlockEvaluator(fab, canon.ResolveFlows(fab))
 	if err != nil {
 		return nil, nil, err
 	}

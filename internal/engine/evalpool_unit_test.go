@@ -18,7 +18,15 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 		Tors: 2, Servers: 1, Middles: 2,
 		Flows: []codec.FlowJSON{{SrcSwitch: 1, SrcServer: 1, DstSwitch: 2, DstServer: 1}},
 	}
-	bevA, putA, err := p.acquire(scen, nil)
+	key, err := codec.TopologyHash(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := newFabricTable().get(scen.Topology, scen.Tors, scen.Servers, scen.Middles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bevA, putA, err := p.acquire(key, scen, fab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +44,7 @@ func TestEvalPoolEvictionSkipsLeasedKey(t *testing.T) {
 	}
 
 	putA()
-	bevA2, putA2, err := p.acquire(scen, nil)
+	bevA2, putA2, err := p.acquire(key, scen, fab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,19 @@ type evalResponse struct {
 	Throughput string   `json:"throughput"`
 }
 
-func computeEvaluate(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error) {
+func computeEvaluate(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	canon := p.Canon
+	fab, err := e.fabric(canon)
+	if err != nil {
+		return nil, err
+	}
 	// Requests sharing a topology hash share one prepared block
-	// evaluator: a pool hit skips canon.Build() and the SoA lane
-	// construction entirely, and only the assignment below varies.
-	bev, put, err := e.evals.acquire(canon, e.opts.Obs)
+	// evaluator: a pool hit skips the SoA lane construction entirely,
+	// and only the assignment below varies.
+	bev, put, err := e.evals.acquire(p.TopoHash, canon, fab, e.opts.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -46,13 +51,16 @@ func computeEvaluate(ctx context.Context, e *Engine, canon *codec.Scenario, hash
 	if err != nil {
 		return nil, err
 	}
-	a := res.Alloc(0)
 	resp := evalResponse{
-		Hash:       hex.EncodeToString(hash[:]),
+		Hash:       hex.EncodeToString(p.Hash[:]),
 		Flows:      len(canon.Flows),
 		Assignment: []int(ma),
-		Rates:      codec.RateStrings(a),
-		Throughput: rational.String(core.Throughput(a)),
+	}
+	if res.Promoted(0) {
+		a := res.Alloc(0)
+		resp.Rates, resp.Throughput = codec.RateStrings(a), rational.String(core.Throughput(a))
+	} else {
+		resp.Rates, resp.Throughput = codec.RateStrings64(res.Rates64(0))
 	}
 	return codec.MarshalBody(resp)
 }
@@ -78,14 +86,15 @@ type searchResponse struct {
 // registry entries are instances of this closure, so adding an
 // objective is one constructor call in New.
 func searchOp(objective string, pruned bool) computeFunc {
-	return func(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error) {
-		c, fs, demands, _, err := canon.Build()
+	return func(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
+		c, err := e.fabric(p.Canon)
 		if err != nil {
 			return nil, err
 		}
+		fs := p.Canon.ResolveFlows(c)
 		opts := e.SearchOptions(ctx)
 		opts.Pruned = pruned
-		resp := searchResponse{Hash: hex.EncodeToString(hash[:]), Objective: objective}
+		resp := searchResponse{Hash: hex.EncodeToString(p.Hash[:]), Objective: objective}
 		if pruned {
 			resp.Strategy = "pruned"
 		}
@@ -107,6 +116,10 @@ func searchOp(objective string, pruned bool) computeFunc {
 			resp.Throughput = rational.String(core.Throughput(res.Allocation))
 			resp.States = res.States
 		case "relative":
+			demands, err := p.Canon.DemandVec()
+			if err != nil {
+				return nil, err
+			}
 			if demands == nil {
 				return nil, errors.New("objective \"relative\" needs scenario demands as targets")
 			}
@@ -134,11 +147,12 @@ type doomResponse struct {
 	Throughput string   `json:"throughput"`
 }
 
-func computeDoom(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32]byte) ([]byte, error) {
-	c, fs, _, _, err := canon.Build()
+func computeDoom(ctx context.Context, e *Engine, p *Prepared) ([]byte, error) {
+	c, err := e.fabric(p.Canon)
 	if err != nil {
 		return nil, err
 	}
+	fs := p.Canon.ResolveFlows(c)
 	sp, ctx := obs.StartSpan(ctx, "doom.route")
 	res, err := doom.RouteCtx(ctx, c, fs, doom.LeastLoaded(), e.opts.Obs)
 	sp.End()
@@ -150,7 +164,7 @@ func computeDoom(ctx context.Context, e *Engine, canon *codec.Scenario, hash [32
 		return nil, err
 	}
 	resp := doomResponse{
-		Hash:       hex.EncodeToString(hash[:]),
+		Hash:       hex.EncodeToString(p.Hash[:]),
 		Assignment: []int(res.Assignment),
 		DoomMiddle: res.DoomMiddle,
 		Matched:    res.MatchedCount(),

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"closnet/internal/codec"
@@ -77,10 +78,10 @@ type Session struct {
 // SessionResponse reports a session's state after open or a delta. The
 // scenario view is canonical: Flows lists the session flow IDs in
 // canonical scenario order, Assignment and Rates are parallel to it,
-// and Hash is the codec.CanonicalHash of the current state — equal to
-// the hash a one-shot evaluate of the same end state reports, which is
-// what makes a replayed delta sequence directly comparable to
-// /v1/evaluate.
+// and Hash is the content hash (codec.Canonicalize) of the current
+// state — equal to the hash a one-shot evaluate of the same end state
+// reports, which is what makes a replayed delta sequence directly
+// comparable to /v1/evaluate.
 type SessionResponse struct {
 	Session    string   `json:"session"`
 	Op         string   `json:"op"`
@@ -114,14 +115,22 @@ type SessionStats struct {
 
 // Sessions is the bounded, TTL-evicting session table. Safe for
 // concurrent use.
+//
+// Lock order: the table's mu before any Session.mu, never the reverse.
+// lookup and pruneLocked take a session's lock while holding the
+// table's, so nothing may take the table's lock while holding a
+// session's — which is why the delta count, bumped under Session.mu,
+// is an atomic rather than a field guarded by mu.
 type Sessions struct {
-	mu    sync.Mutex
-	table map[string]*Session
-	max   int
-	ttl   time.Duration
-	now   func() time.Time
+	mu      sync.Mutex
+	table   map[string]*Session
+	max     int
+	ttl     time.Duration
+	now     func() time.Time
+	fabrics *fabricTable
 
-	opened, closed, expired, deltas int64
+	opened, closed, expired int64
+	deltas                  atomic.Int64
 
 	o        *obs.Obs
 	cOpened  *obs.Counter
@@ -131,7 +140,7 @@ type Sessions struct {
 	gOpen    *obs.Gauge
 }
 
-func newSessions(opts Options) *Sessions {
+func newSessions(opts Options, fabrics *fabricTable) *Sessions {
 	max := opts.MaxSessions
 	if max <= 0 {
 		max = DefaultMaxSessions
@@ -146,6 +155,7 @@ func newSessions(opts Options) *Sessions {
 		max:      max,
 		ttl:      ttl,
 		now:      time.Now,
+		fabrics:  fabrics,
 		o:        opts.Obs,
 		cOpened:  reg.Counter("engine.sessions.opened"),
 		cClosed:  reg.Counter("engine.sessions.closed"),
@@ -200,7 +210,7 @@ func (ss *Sessions) Open(ctx context.Context, scen *codec.Scenario) (*SessionRes
 	if err != nil {
 		return nil, err
 	}
-	fab, err := topology.BuildFamily(canon.Topology, canon.Tors, canon.Servers, canon.Middles)
+	fab, err := ss.fabrics.get(canon.Topology, canon.Tors, canon.Servers, canon.Middles)
 	if err != nil {
 		return nil, err
 	}
@@ -324,9 +334,7 @@ func (ss *Sessions) Delta(ctx context.Context, id string, d *codec.Delta) (*Sess
 		s.flows[i].middle = d.Middle
 	}
 	s.seq++
-	ss.mu.Lock()
-	ss.deltas++
-	ss.mu.Unlock()
+	ss.deltas.Add(1)
 	ss.cDeltas.Inc()
 	return s.responseLocked(OpSessionDelta, arrived)
 }
@@ -367,7 +375,7 @@ func (ss *Sessions) Stats() SessionStats {
 		Opened:   ss.opened,
 		Closed:   ss.closed,
 		Expired:  ss.expired,
-		Deltas:   ss.deltas,
+		Deltas:   ss.deltas.Load(),
 	}
 }
 
@@ -399,21 +407,18 @@ func (s *Session) responseLocked(op string, arrived *int) (*SessionResponse, err
 			scen.Assignment[i] = sf.middle
 		}
 	}
-	canon, hash, err := codec.CanonicalHash(scen)
+	cz, err := codec.Canonicalize(scen)
 	if err != nil {
 		return nil, err
 	}
-	perm, err := codec.CanonicalPerm(scen)
-	if err != nil {
-		return nil, err
-	}
+	perm := cz.Perm
 	resp := &SessionResponse{
 		Session:    s.id,
 		Op:         op,
 		Seq:        s.seq,
-		Hash:       hex.EncodeToString(hash[:]),
+		Hash:       hex.EncodeToString(cz.Hash[:]),
 		Flows:      make([]int, len(perm)),
-		Assignment: canon.Assignment,
+		Assignment: cz.Scenario.Assignment,
 		Rates:      make([]string, len(perm)),
 		Throughput: "0",
 		Arrived:    arrived,

@@ -377,3 +377,51 @@ func TestSessionCounters(t *testing.T) {
 		t.Error("session deltas did not drive core.delta_fills")
 	}
 }
+
+// TestSessionDeltasDoNotDeadlock is the lock-order regression test: two
+// goroutines send interleaved deltas to two sessions. Each delta's
+// table lookup takes the table lock and then, while pruning, every
+// session's lock; a delta that took the table lock while holding its
+// own session's (to count itself) deadlocked against the other
+// goroutine's lookup. The test fails if the deltas do not finish
+// within the deadline.
+func TestSessionDeltasDoNotDeadlock(t *testing.T) {
+	eng := sessionEngine(engine.Options{})
+	ctx := context.Background()
+	ids := make([]string, 2)
+	for i := range ids {
+		r, err := eng.Sessions().Open(ctx, sessionScenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = r.Session
+	}
+	const perSession = 2000
+	done := make(chan error, len(ids))
+	for g, id := range ids {
+		go func(g int, id string) {
+			for i := 0; i < perSession; i++ {
+				d := &codec.Delta{Op: codec.DeltaReroute, ID: 0, Middle: 1 + (g+i)%2}
+				if _, err := eng.Sessions().Delta(ctx, id, d); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(g, id)
+	}
+	deadline := time.After(20 * time.Second)
+	for range ids {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("session deltas deadlocked: two sessions taking deltas concurrently did not finish")
+		}
+	}
+	if st := eng.Sessions().Stats(); st.Deltas != 2*perSession {
+		t.Fatalf("deltas = %d, want %d", st.Deltas, 2*perSession)
+	}
+}

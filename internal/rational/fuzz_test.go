@@ -47,6 +47,9 @@ func FuzzRat64(f *testing.F) {
 			if got.Den() <= 0 {
 				t.Fatalf("denormalized denominator in %s", got)
 			}
+			if got.String() != want.RatString() {
+				t.Fatalf("Rat64.String %q != big.Rat.RatString %q", got.String(), want.RatString())
+			}
 			g := new(big.Int).GCD(nil, nil,
 				new(big.Int).Abs(big.NewInt(got.Num())), big.NewInt(got.Den()))
 			if g.Cmp(big.NewInt(1)) > 0 && got.Num() != 0 {
@@ -118,6 +121,32 @@ func FuzzRat64(f *testing.F) {
 			// evaluator equivalent is a whole-state big.Rat re-evaluation.)
 			cur = Zero64()
 			ref = new(big.Rat)
+		}
+	})
+}
+
+// FuzzParseRat64: every string the fast parser accepts, big.Rat
+// accepts with the same value and the same RatString, and every value
+// whose components have at most 18 digits round-trips through String.
+func FuzzParseRat64(f *testing.F) {
+	for _, s := range []string{"0", "-0", "2/4", "-7/21", "999999999999999999/3", "1000000000000000000",
+		"010/3", "1.5", "+3", "1/0", "0x10", "1_0", "3/-4", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := ParseRat64(s)
+		if !ok {
+			return
+		}
+		want, wantOK := new(big.Rat).SetString(s)
+		if !wantOK {
+			t.Fatalf("ParseRat64 accepted %q, big.Rat rejects it", s)
+		}
+		if got.Rat().Cmp(want) != 0 || got.String() != want.RatString() {
+			t.Fatalf("ParseRat64(%q) = %s, big.Rat says %s", s, got, want.RatString())
+		}
+		if back, ok := ParseRat64(got.String()); !ok || back != got {
+			t.Fatalf("%s does not round-trip through String", got)
 		}
 	})
 }

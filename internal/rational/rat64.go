@@ -1,11 +1,11 @@
 package rational
 
 import (
-	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
 	"slices"
+	"strconv"
 )
 
 // Rat64 is an exact rational with a single machine word per component:
@@ -81,12 +81,68 @@ func (a Rat64) Sign() int {
 // IsZero reports whether a equals 0.
 func (a Rat64) IsZero() bool { return a.num == 0 }
 
-// String formats a in lowest terms, using plain integers where possible.
+// String formats a in lowest terms, using plain integers where
+// possible — the big.Rat.RatString form of the same value.
 func (a Rat64) String() string {
 	if a.den == 1 {
-		return fmt.Sprintf("%d", a.num)
+		return strconv.FormatInt(a.num, 10)
 	}
-	return fmt.Sprintf("%d/%d", a.num, a.den)
+	var buf [41]byte // two 20-byte int64s and the slash
+	b := strconv.AppendInt(buf[:0], a.num, 10)
+	b = append(b, '/')
+	return string(strconv.AppendInt(b, a.den, 10))
+}
+
+// maxParseDigits bounds the digit runs ParseRat64 accepts: 18 decimal
+// digits always fit in an int64, so the fast path never overflows.
+const maxParseDigits = 18
+
+// ParseRat64 parses the plain decimal forms "p" and "p/q" (optional
+// leading '-', no leading zeros, at most 18 digits per component,
+// q ≠ 0) and returns the normalized value. ok is false for every other
+// string — including forms big.Rat.SetString accepts, such as "1.5",
+// "1e3", "+2", "0x10" or "010/3" (which SetString reads as octal) — so
+// callers fall back to SetString and get exactly its value.
+func ParseRat64(s string) (Rat64, bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	num, rest, ok := parseDigits(s)
+	if !ok {
+		return Rat64{}, false
+	}
+	den := int64(1)
+	if rest != "" {
+		if rest[0] != '/' {
+			return Rat64{}, false
+		}
+		if den, rest, ok = parseDigits(rest[1:]); !ok || rest != "" || den == 0 {
+			return Rat64{}, false
+		}
+	}
+	if neg {
+		num = -num
+	}
+	return Make64(num, den)
+}
+
+// parseDigits reads a leading run of 1..maxParseDigits decimal digits
+// without a leading zero (a lone "0" is fine) and returns its value and
+// the unread rest of s.
+func parseDigits(s string) (int64, string, bool) {
+	n := 0
+	for n < len(s) && s[n] >= '0' && s[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > maxParseDigits || (s[0] == '0' && n > 1) {
+		return 0, s, false
+	}
+	v := int64(0)
+	for _, c := range s[:n] {
+		v = v*10 + int64(c-'0')
+	}
+	return v, s[n:], true
 }
 
 // Cmp compares a and b, returning -1, 0 or +1. Unlike the arithmetic

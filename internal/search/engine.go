@@ -31,6 +31,7 @@ package search
 import (
 	"context"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -451,7 +452,6 @@ func runSharded(ctx context.Context, c topology.Fabric, fs core.Collection, s en
 					lowerStop(int64(rank+i) + 1)
 					stopped.Store(true)
 					eo.earlyExits.Inc()
-					eo.j.Emit("search.stop_rank", obs.F{"shard": w, "rank": rank + i + 1})
 					return
 				}
 			}
@@ -514,7 +514,6 @@ func runSharded(ctx context.Context, c topology.Fabric, fs core.Collection, s en
 						lowerStop(int64(rank) + 1)
 						stopped.Store(true)
 						eo.earlyExits.Inc()
-						eo.j.Emit("search.stop_rank", obs.F{"shard": w, "rank": rank + 1})
 						return
 					}
 				}
@@ -551,8 +550,16 @@ func runSharded(ctx context.Context, c topology.Fabric, fs core.Collection, s en
 	// stop rank equal to the space total (optimum first attained at the
 	// last rank), which the `stop < total` comparison previously missed,
 	// so identical runs journaled different metrics per worker count.
+	// The stop_rank event is emitted here too, once, after reduction:
+	// workers racing to publish their own early exits could journal a
+	// later shard's rank after the winner's.
 	if stopped.Load() {
-		eo.stopRank.Set(stopRank.Load())
+		stop := stopRank.Load()
+		eo.stopRank.Set(stop)
+		// The shard owning the last needed rank stop-1 is the last one
+		// starting at or before it.
+		shard := sort.SearchInts(bounds, int(stop)) - 1
+		eo.j.Emit("search.stop_rank", obs.F{"shard": shard, "rank": stop})
 	}
 	return res, nil
 }

@@ -209,33 +209,31 @@ func (c *Clos) OutputOf(t NodeID) (int, bool) {
 
 // Path returns the unique src→dst path through middle switch m
 // (m ∈ [Size()]): src -> I -> M_m -> O -> dst.
+//
+// The link IDs are computed from NewGeneralClos's construction order
+// rather than looked up: server links come first, two per server slot
+// (s_i^j -> I_i at 2·slot, O_i -> t_i^j at 2·slot+1, slot =
+// (i-1)·servers + j-1), then fabric links, two per (ToR, middle) pair
+// in the same interleaving.
 func (c *Clos) Path(src, dst NodeID, m int) (Path, error) {
-	i, ok := c.InputOf(src)
-	if !ok {
+	if _, ok := c.InputOf(src); !ok {
 		return nil, fmt.Errorf("clos path: node %d is not a source", src)
 	}
-	o, ok := c.OutputOf(dst)
-	if !ok {
+	if _, ok := c.OutputOf(dst); !ok {
 		return nil, fmt.Errorf("clos path: node %d is not a destination", dst)
 	}
 	if m < 1 || m > c.middles {
 		return nil, fmt.Errorf("clos path: middle index %d out of range [1,%d]", m, c.middles)
 	}
-	hops := [][2]NodeID{
-		{src, c.Input(i)},
-		{c.Input(i), c.Middle(m)},
-		{c.Middle(m), c.Output(o)},
-		{c.Output(o), dst},
-	}
-	p := make(Path, 0, len(hops))
-	for _, h := range hops {
-		id, ok := c.net.LinkBetween(h[0], h[1])
-		if !ok {
-			return nil, fmt.Errorf("clos path: missing link %d->%d", h[0], h[1])
-		}
-		p = append(p, id)
-	}
-	return p, nil
+	srcSlot, dstSlot := int(src-c.sourceBase), int(dst-c.destBase)
+	fabric := 2 * c.numServers()
+	in, out := srcSlot/c.servers, dstSlot/c.servers // 0-based ToR indices
+	return Path{
+		LinkID(2 * srcSlot),
+		LinkID(fabric + 2*(in*c.middles+m-1)),
+		LinkID(fabric + 2*(out*c.middles+m-1) + 1),
+		LinkID(2*dstSlot + 1),
+	}, nil
 }
 
 // FabricLinks returns the IDs of all links inside the network (between

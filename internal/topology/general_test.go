@@ -164,3 +164,82 @@ func TestBisectionHelpers(t *testing.T) {
 		t.Errorf("under-subscribed fabric misclassified: gap=%d", BisectionGap(under))
 	}
 }
+
+// lookupPath is the reference Clos path: the four hops resolved
+// through the network's endpoint map, as Path computed them before it
+// derived link IDs from the construction order.
+func lookupPath(t *testing.T, c *Clos, src, dst NodeID, m int) Path {
+	t.Helper()
+	i, _ := c.InputOf(src)
+	o, _ := c.OutputOf(dst)
+	hops := [][2]NodeID{
+		{src, c.Input(i)},
+		{c.Input(i), c.Middle(m)},
+		{c.Middle(m), c.Output(o)},
+		{c.Output(o), dst},
+	}
+	p := make(Path, 0, len(hops))
+	for _, h := range hops {
+		id, ok := c.Network().LinkBetween(h[0], h[1])
+		if !ok {
+			t.Fatalf("missing link %d->%d", h[0], h[1])
+		}
+		p = append(p, id)
+	}
+	return p
+}
+
+// TestClosPathMatchesLinkLookup: the arithmetic Clos.Path returns the
+// LinkBetween walk's link IDs for every (src, dst, m) on C_1–C_4,
+// general shapes and oversubscribed fabrics.
+func TestClosPathMatchesLinkLookup(t *testing.T) {
+	var nets []*Clos
+	for n := 1; n <= 4; n++ {
+		nets = append(nets, MustClos(n))
+	}
+	for _, sh := range [][3]int{{1, 1, 1}, {3, 2, 5}, {4, 1, 7}, {2, 3, 1}, {5, 4, 2}} {
+		c, err := NewGeneralClos(sh[0], sh[1], sh[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, c)
+	}
+	for _, r := range [][4]int{{4, 4, 2, 1}, {3, 6, 3, 2}, {2, 2, 1, 1}} {
+		c, err := NewOversubscribedClos(r[0], r[1], r[2], r[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, c)
+	}
+	for _, c := range nets {
+		paths := 0
+		for si := 1; si <= c.NumToRs(); si++ {
+			for sj := 1; sj <= c.ServersPerToR(); sj++ {
+				for di := 1; di <= c.NumToRs(); di++ {
+					for dj := 1; dj <= c.ServersPerToR(); dj++ {
+						src, dst := c.Source(si, sj), c.Dest(di, dj)
+						for m := 1; m <= c.Size(); m++ {
+							got, err := c.Path(src, dst, m)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want := lookupPath(t, c, src, dst, m)
+							if len(got) != len(want) {
+								t.Fatalf("%s: path %d->%d via %d = %v, want %v", c.Network().Name(), src, dst, m, got, want)
+							}
+							for h := range want {
+								if got[h] != want[h] {
+									t.Fatalf("%s: path %d->%d via %d = %v, want %v", c.Network().Name(), src, dst, m, got, want)
+								}
+							}
+							paths++
+						}
+					}
+				}
+			}
+		}
+		if want := c.NumToRs() * c.ServersPerToR() * c.NumToRs() * c.ServersPerToR() * c.Size(); paths != want {
+			t.Fatalf("%s: checked %d paths, want %d", c.Network().Name(), paths, want)
+		}
+	}
+}
