@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-block bench-delta verify experiments trace serve loadgen cover fuzz clean
+.PHONY: all build test vet race bench bench-json bench-block bench-delta bench-decode verify experiments trace serve loadgen cover fuzz clean
 
 all: build vet test
 
@@ -37,6 +37,12 @@ bench-block:
 bench-delta:
 	$(GO) run ./cmd/closbench -only-delta -min-delta-speedup 2
 
+# The decode smoke pair: codec.Decode's strict scanner vs its
+# json.Unmarshal fallback on an evaluate-cold-shaped C_8 body, failing
+# below the CI speedup bar.
+bench-decode:
+	$(GO) run ./cmd/closbench -only-decode -min-decode-speedup 3
+
 # Re-measure every theorem bound; non-zero exit on any violation.
 verify:
 	$(GO) run ./cmd/closverify -v
@@ -65,12 +71,16 @@ loadgen:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz pass over the allocator, the edge colorer and the simplex.
+# Short fuzz pass over the allocator, the edge colorer, the simplex and
+# the scenario decoder (including its scanner-vs-stdlib differential).
+# The decoder targets are seeded with a 15 kB body; a short minimize
+# time keeps shrinking a new input from eating the fuzz budget.
 fuzz:
 	$(GO) test -fuzz=FuzzWaterfill -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzEdgeColor -fuzztime=10s ./internal/coloring/
 	$(GO) test -fuzz=FuzzSimplex -fuzztime=10s ./internal/lp/
-	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMatchesStdlib$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/codec/
 
 clean:
 	$(GO) clean ./...

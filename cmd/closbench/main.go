@@ -22,6 +22,10 @@
 //     64-event C_5 arrival/departure trace (core.IncrementalEvaluator)
 //     vs per-event full recompute, with the ns/op ratio published as
 //     delta_speedup
+//   - scenario decoding: codec.Decode (the strict one-pass scanner) vs
+//     json.Unmarshal plus validation (its fallback) on an
+//     evaluate-cold-shaped body, with the ns/op ratio published as
+//     decode_speedup
 //
 // Usage:
 //
@@ -32,6 +36,8 @@
 //	    block-vs-per-state pair only, non-zero exit below the bar
 //	closbench -only-delta -min-delta-speedup 2   CI smoke: C_5
 //	    incremental-vs-full delta pair only, non-zero exit below the bar
+//	closbench -only-decode -min-decode-speedup 3   CI smoke: C_8
+//	    scanner-vs-fallback decode pair only, non-zero exit below the bar
 //
 // Writing to an existing report file refuses to proceed when the new
 // report would carry fewer benchmark entries than the one on disk, or
@@ -45,19 +51,23 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"closnet/internal/adversary"
+	"closnet/internal/codec"
 	"closnet/internal/core"
 	"closnet/internal/engine"
+	"closnet/internal/gen"
 	"closnet/internal/obs"
 	"closnet/internal/search"
 	"closnet/internal/topology"
@@ -106,6 +116,12 @@ type Report struct {
 	// core.IncrementalEvaluator (both produce bit-identical rates; the
 	// core property tests pin that). The acceptance bar is ≥ 5.
 	DeltaSpeedup float64 `json:"delta_speedup"`
+	// DecodeSpeedup is the json.Unmarshal-plus-validation ns/op over the
+	// codec.Decode ns/op on the same evaluate-cold-shaped body (a C_8
+	// gravity scenario with 128 flows, demands and an assignment,
+	// indented by codec.Encode); both decode the same scenario. The
+	// acceptance bar is ≥ 3.
+	DecodeSpeedup float64 `json:"decode_speedup"`
 	// Obs is the final metrics-registry snapshot of the run, present only
 	// when closbench is invoked with -metrics.
 	Obs *obs.Snapshot `json:"observability,omitempty"`
@@ -284,6 +300,65 @@ func benchDeltaFull(c *topology.Clos, evs []deltaEvent) (Bench, error) {
 	})
 }
 
+// coldBody encodes an evaluate-cold-shaped request: a seeded C_8
+// gravity scenario with 128 flows and exact demands, plus a uniformly
+// random middle per flow, indented by codec.Encode.
+func coldBody(seed int64) ([]byte, error) {
+	sp, err := gen.ClosSpec(8)
+	if err != nil {
+		return nil, err
+	}
+	s, err := gen.Scenario(sp, gen.TrafficConfig{Model: gen.ModelGravity, Flows: 128, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	r := rand.New(rand.NewSource(^seed))
+	s.Assignment = make([]int, len(s.Flows))
+	for i := range s.Assignment {
+		s.Assignment[i] = 1 + r.Intn(sp.Middles)
+	}
+	return codec.Encode(s)
+}
+
+// benchDecode measures codec.Decode on the cold body twice: as written,
+// which the strict scanner decodes, and with its first key respelled
+// "Name", which the scanner refuses at the first key, so Decode runs
+// its fallback — json.Unmarshal plus validation, the decoder the scanner
+// replaced. json.Unmarshal matches keys case-insensitively, so both
+// bodies decode to the same scenario; that is checked before timing.
+func benchDecode() (scan, fallback Bench, err error) {
+	body, err := coldBody(7)
+	if err != nil {
+		return scan, fallback, err
+	}
+	respelled := bytes.Replace(body, []byte(`"name"`), []byte(`"Name"`), 1)
+	a, err := codec.Decode(body)
+	if err != nil {
+		return scan, fallback, err
+	}
+	b, err := codec.Decode(respelled)
+	if err != nil {
+		return scan, fallback, err
+	}
+	if !reflect.DeepEqual(a, b) {
+		return scan, fallback, fmt.Errorf("decode: the respelled body decodes to a different scenario")
+	}
+	timed := func(name string, data []byte) (Bench, error) {
+		return measure(name, 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	if scan, err = timed("DecodeScanColdC8", body); err != nil {
+		return scan, fallback, err
+	}
+	fallback, err = timed("DecodeStdlibColdC8", respelled)
+	return scan, fallback, err
+}
+
 func measure(name string, states int, fn func(b *testing.B)) (Bench, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -314,6 +389,8 @@ func run(args []string) error {
 	minBlockSpeedup := fl.Float64("min-block-speedup", 0, "exit non-zero when block_speedup_c5 falls below this (0 disables)")
 	onlyDelta := fl.Bool("only-delta", false, "run only the C_5 incremental-vs-full delta pair (the CI smoke subset)")
 	minDeltaSpeedup := fl.Float64("min-delta-speedup", 0, "exit non-zero when delta_speedup falls below this (0 disables)")
+	onlyDecode := fl.Bool("only-decode", false, "run only the C_8 scanner-vs-fallback decode pair (the CI smoke subset)")
+	minDecodeSpeedup := fl.Float64("min-decode-speedup", 0, "exit non-zero when decode_speedup falls below this (0 disables)")
 	ob := obs.AddFlags(fl)
 	if err := fl.Parse(args); err != nil {
 		return err
@@ -352,8 +429,10 @@ func run(args []string) error {
 	}
 
 	rep := Report{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
+	// Without an -only-* flag every pair runs; with some, just those.
+	all := !*onlyBlock && !*onlyDelta && !*onlyDecode
 
-	if !*onlyBlock && !*onlyDelta {
+	if all {
 		fast, err := benchEvaluator(false)
 		if err != nil {
 			return err
@@ -396,14 +475,14 @@ func run(args []string) error {
 
 	c5, fs5 := benchInstance(5, 7)
 	var fullC5 Bench
-	if !*onlyBlock && !*onlyDelta {
+	if all {
 		fullC5, err = benchLexSearch("LexSearchFullC5", c5, fs5, searchOpts(true, 0))
 		if err != nil {
 			return err
 		}
 		rep.Benches = append(rep.Benches, fullC5)
 	}
-	if !*onlyDelta {
+	if all || *onlyBlock {
 		canonC5, err := benchLexSearch("LexSearchCanonicalC5", c5, fs5, searchOpts(false, 0))
 		if err != nil {
 			return err
@@ -413,7 +492,7 @@ func run(args []string) error {
 			return err
 		}
 		rep.Benches = append(rep.Benches, canonC5, blockC5)
-		if !*onlyBlock {
+		if all {
 			prunedC5, err := benchLexSearch("LexSearchPrunedC5", c5, fs5, prunedOpts())
 			if err != nil {
 				return err
@@ -434,7 +513,7 @@ func run(args []string) error {
 				rep.BlockSpeedupC5, *minBlockSpeedup)
 		}
 	}
-	if !*onlyBlock {
+	if all || *onlyDelta {
 		trace := deltaTrace(c5, 64)
 		incC5, err := benchDeltaIncremental(c5, trace)
 		if err != nil {
@@ -451,6 +530,20 @@ func run(args []string) error {
 		if *minDeltaSpeedup > 0 && rep.DeltaSpeedup < *minDeltaSpeedup {
 			return fmt.Errorf("delta_speedup = %.2f is below the -min-delta-speedup bar %.2f",
 				rep.DeltaSpeedup, *minDeltaSpeedup)
+		}
+	}
+	if all || *onlyDecode {
+		scan, fallback, err := benchDecode()
+		if err != nil {
+			return err
+		}
+		rep.Benches = append(rep.Benches, scan, fallback)
+		if scan.NsPerOp > 0 {
+			rep.DecodeSpeedup = float64(fallback.NsPerOp) / float64(scan.NsPerOp)
+		}
+		if *minDecodeSpeedup > 0 && rep.DecodeSpeedup < *minDecodeSpeedup {
+			return fmt.Errorf("decode_speedup = %.2f is below the -min-decode-speedup bar %.2f",
+				rep.DecodeSpeedup, *minDecodeSpeedup)
 		}
 	}
 

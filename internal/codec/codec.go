@@ -80,16 +80,23 @@ func Encode(s *Scenario) ([]byte, error) {
 	return out, nil
 }
 
-// Decode unmarshals and structurally validates a scenario.
+// Decode unmarshals and structurally validates a scenario. Bodies in
+// the strict grammar of scanScenario — the way Encode writes every
+// generated and corpus scenario — are decoded by that scanner; anything
+// else goes to json.Unmarshal, so the accepted inputs, the decoded
+// values and the error messages are json.Unmarshal's either way.
 func Decode(data []byte) (*Scenario, error) {
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("codec: %w", err)
+	s, ok := scanScenario(data)
+	if !ok {
+		s = new(Scenario)
+		if err := json.Unmarshal(data, s); err != nil {
+			return nil, fmt.Errorf("codec: %w", err)
+		}
 	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 func (s *Scenario) validate() error {

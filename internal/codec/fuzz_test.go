@@ -17,6 +17,8 @@ func FuzzDecode(f *testing.F) {
 	// large for a Rat64.
 	f.Add([]byte(`{"topology":"clos","tors":2,"servers":1,"middles":2,"flows":[{"srcSwitch":2,"srcServer":1,"dstSwitch":1,"dstServer":1},{"srcSwitch":1,"srcServer":1,"dstSwitch":2,"dstServer":1}],"demands":["1.5","010/3"]}`))
 	f.Add([]byte(`{"tors":1,"servers":2,"middles":1,"flows":[{"srcSwitch":1,"srcServer":1,"dstSwitch":1,"dstServer":1},{"srcSwitch":1,"srcServer":1,"dstSwitch":1,"dstServer":1}],"demands":["123456789012345678901234567890/7","1e30"],"assignment":[1,1]}`))
+	// An evaluate-cold-shaped body: C_8, 128 flows, indented.
+	f.Add(coldBody(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
@@ -24,8 +26,9 @@ func FuzzDecode(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		if _, _, _, _, err := s.Build(); err != nil {
-			// Decode validates structure but demand strings are parsed
-			// at Build time; errors are acceptable, panics are not.
+			// Decode validates structure but not demand strings; Build
+			// rejects a bad one (so does Canonicalize, which every
+			// serving path runs first). Errors are fine, panics are not.
 			return
 		}
 		if _, err := Encode(s); err != nil {

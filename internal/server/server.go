@@ -485,9 +485,8 @@ func (s *Server) handleCompute(endpoint string) http.HandlerFunc {
 			s.reply(w, endpoint, http.StatusBadRequest, codec.ErrorBody(err.Error()), "", start)
 			return
 		}
-		body, releaseBody, err := readBody(w, r, s.opts.MaxBody)
-		if err != nil {
-			s.reply(w, endpoint, http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+		body, releaseBody, ok := s.readRequestBody(w, r, endpoint, start)
+		if !ok {
 			return
 		}
 		defer releaseBody()
@@ -664,9 +663,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endRequest()
 
-	body, releaseBody, err := readBody(w, r, s.opts.MaxBody)
-	if err != nil {
-		s.reply(w, "batch", http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+	body, releaseBody, ok := s.readRequestBody(w, r, "batch", start)
+	if !ok {
 		return
 	}
 	defer releaseBody()
@@ -748,10 +746,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // bodyPool recycles request-body buffers: on the cache-hit fast path
-// the body is only hashed and compared, never retained (json.Unmarshal
-// copies every string it keeps), so per-request buffer allocation is
-// pure overhead. Stored as *[]byte to keep the pool pointer-shaped.
+// the body is only hashed and compared, never retained (codec.Decode
+// and json.Unmarshal copy every string they keep), so per-request
+// buffer allocation is pure overhead. Stored as *[]byte to keep the
+// pool pointer-shaped.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 32<<10); return &b }}
+
+// readRequestBody reads the request body with readBody and, when that
+// fails, answers the request itself: 413 when the body exceeds
+// MaxBody, 400 for any other read error (a client abort, malformed
+// chunked encoding). ok reports whether the caller should go on.
+func (s *Server) readRequestBody(w http.ResponseWriter, r *http.Request, op string, start time.Time) (body []byte, release func(), ok bool) {
+	body, release, err := readBody(w, r, s.opts.MaxBody)
+	if err == nil {
+		return body, release, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.reply(w, op, http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+	} else {
+		s.reply(w, op, http.StatusBadRequest, codec.ErrorBody("cannot read request body"), "", start)
+	}
+	return nil, nil, false
+}
 
 // readBody reads the full request body into a pooled buffer. The
 // returned slice is valid until release is called — callers must not

@@ -42,9 +42,8 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.endRequest()
 
-	body, releaseBody, err := readBody(w, r, s.opts.MaxBody)
-	if err != nil {
-		s.reply(w, engine.OpSessionOpen, http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+	body, releaseBody, ok := s.readRequestBody(w, r, engine.OpSessionOpen, start)
+	if !ok {
 		return
 	}
 	defer releaseBody()
@@ -92,9 +91,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.endRequest()
-		body, releaseBody, err := readBody(w, r, s.opts.MaxBody)
-		if err != nil {
-			s.reply(w, engine.OpSessionDelta, http.StatusRequestEntityTooLarge, codec.ErrorBody("request body too large"), "", start)
+		body, releaseBody, ok := s.readRequestBody(w, r, engine.OpSessionDelta, start)
+		if !ok {
 			return
 		}
 		defer releaseBody()
