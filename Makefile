@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-block bench-delta bench-decode verify experiments trace serve loadgen cover fuzz clean
+.PHONY: all build test vet race bench bench-json bench-block bench-delta bench-decode bench-bound verify experiments trace serve loadgen cover fuzz clean
 
 all: build vet test
 
@@ -42,6 +42,12 @@ bench-delta:
 # below the CI speedup bar.
 bench-decode:
 	$(GO) run ./cmd/closbench -only-decode -min-decode-speedup 3
+
+# The lex bound smoke pair: the pruned search's sorted trunk-relaxation
+# bound on the shared int64 kernel vs its big.Rat oracle on
+# search-lex-shaped states, failing below the CI speedup bar.
+bench-bound:
+	$(GO) run ./cmd/closbench -only-bound -min-bound-speedup 4
 
 # Re-measure every theorem bound; non-zero exit on any violation.
 verify:

@@ -26,6 +26,11 @@
 //     json.Unmarshal plus validation (its fallback) on an
 //     evaluate-cold-shaped body, with the ns/op ratio published as
 //     decode_speedup
+//   - lex bounds: the pruned lex search's trunk-relaxation bound as a
+//     sorted Rat64 vector on the shared int64 kernel
+//     (core.PartialEvaluator.BoundSorted) vs the pinned *big.Rat fill plus
+//     a sorted copy, on search-lex-shaped states, with the ns/op ratio
+//     published as bound_speedup
 //
 // Usage:
 //
@@ -38,6 +43,8 @@
 //	    incremental-vs-full delta pair only, non-zero exit below the bar
 //	closbench -only-decode -min-decode-speedup 3   CI smoke: C_8
 //	    scanner-vs-fallback decode pair only, non-zero exit below the bar
+//	closbench -only-bound -min-bound-speedup 4   CI smoke: C_4
+//	    kernel-vs-big.Rat lex bound pair only, non-zero exit below the bar
 //
 // Writing to an existing report file refuses to proceed when the new
 // report would carry fewer benchmark entries than the one on disk, or
@@ -122,6 +129,12 @@ type Report struct {
 	// indented by codec.Encode); both decode the same scenario. The
 	// acceptance bar is ≥ 3.
 	DecodeSpeedup float64 `json:"decode_speedup"`
+	// BoundSpeedup is the big.Rat ns/op over the kernel ns/op of one
+	// sorted trunk-relaxation bound (ForceBig Bound plus SortedCopy vs
+	// BoundSorted) on the same 64 partial states of a search-lex-shaped
+	// instance (uniform C_4, 10 flows); both produce the same values.
+	// The acceptance bar is ≥ 4.
+	BoundSpeedup float64 `json:"bound_speedup"`
 	// Obs is the final metrics-registry snapshot of the run, present only
 	// when closbench is invoked with -metrics.
 	Obs *obs.Snapshot `json:"observability,omitempty"`
@@ -359,6 +372,77 @@ func benchDecode() (scan, fallback Bench, err error) {
 	return scan, fallback, err
 }
 
+// benchBound measures one sorted lex bound per op on 64 seeded partial
+// states (every depth) of a search-lex-shaped instance: BoundSorted on
+// the int64 kernel, and the ForceBig oracle's Bound plus SortedCopy on
+// big.Rat. Every state's two vectors are checked equal before timing.
+func benchBound() (kernel, oracle Bench, err error) {
+	sp, err := gen.ClosSpec(4)
+	if err != nil {
+		return kernel, oracle, err
+	}
+	s, err := gen.Scenario(sp, gen.TrafficConfig{Model: gen.ModelUniform, Flows: 10, Seed: 7})
+	if err != nil {
+		return kernel, oracle, err
+	}
+	c, fs, _, _, err := s.Build()
+	if err != nil {
+		return kernel, oracle, err
+	}
+	fast, err := core.NewPartialEvaluator(c, fs)
+	if err != nil {
+		return kernel, oracle, err
+	}
+	slow, err := core.NewPartialEvaluator(c, fs)
+	if err != nil {
+		return kernel, oracle, err
+	}
+	slow.ForceBig(true)
+	rng := rand.New(rand.NewSource(7))
+	mas := make([]core.MiddleAssignment, 64)
+	from := make([]int, len(mas))
+	for i := range mas {
+		mas[i] = make(core.MiddleAssignment, len(fs))
+		for fi := range mas[i] {
+			mas[i][fi] = 1 + rng.Intn(c.Size())
+		}
+		from[i] = i % (len(fs) + 1)
+		v, ok, err := fast.BoundSorted(mas[i], from[i])
+		if err != nil || !ok {
+			return kernel, oracle, fmt.Errorf("bound: kernel state %d: ok=%v err=%v", i, ok, err)
+		}
+		b, err := slow.Bound(mas[i], from[i])
+		if err != nil {
+			return kernel, oracle, err
+		}
+		for j, x := range b.SortedCopy() {
+			if v[j].CmpRat(x) != 0 {
+				return kernel, oracle, fmt.Errorf("bound: state %d: kernel %v != big.Rat %v", i, v, b.SortedCopy())
+			}
+		}
+	}
+	kernel, err = measure("LexBoundSortedC4", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := fast.BoundSorted(mas[i%len(mas)], from[i%len(mas)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if err != nil {
+		return kernel, oracle, err
+	}
+	oracle, err = measure("LexBoundBigRatC4", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a, err := slow.Bound(mas[i%len(mas)], from[i%len(mas)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.SortedCopy()
+		}
+	})
+	return kernel, oracle, err
+}
+
 func measure(name string, states int, fn func(b *testing.B)) (Bench, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -391,6 +475,8 @@ func run(args []string) error {
 	minDeltaSpeedup := fl.Float64("min-delta-speedup", 0, "exit non-zero when delta_speedup falls below this (0 disables)")
 	onlyDecode := fl.Bool("only-decode", false, "run only the C_8 scanner-vs-fallback decode pair (the CI smoke subset)")
 	minDecodeSpeedup := fl.Float64("min-decode-speedup", 0, "exit non-zero when decode_speedup falls below this (0 disables)")
+	onlyBound := fl.Bool("only-bound", false, "run only the C_4 kernel-vs-big.Rat lex bound pair (the CI smoke subset)")
+	minBoundSpeedup := fl.Float64("min-bound-speedup", 0, "exit non-zero when bound_speedup falls below this (0 disables)")
 	ob := obs.AddFlags(fl)
 	if err := fl.Parse(args); err != nil {
 		return err
@@ -430,7 +516,7 @@ func run(args []string) error {
 
 	rep := Report{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	// Without an -only-* flag every pair runs; with some, just those.
-	all := !*onlyBlock && !*onlyDelta && !*onlyDecode
+	all := !*onlyBlock && !*onlyDelta && !*onlyDecode && !*onlyBound
 
 	if all {
 		fast, err := benchEvaluator(false)
@@ -544,6 +630,20 @@ func run(args []string) error {
 		if *minDecodeSpeedup > 0 && rep.DecodeSpeedup < *minDecodeSpeedup {
 			return fmt.Errorf("decode_speedup = %.2f is below the -min-decode-speedup bar %.2f",
 				rep.DecodeSpeedup, *minDecodeSpeedup)
+		}
+	}
+	if all || *onlyBound {
+		kernel, oracle, err := benchBound()
+		if err != nil {
+			return err
+		}
+		rep.Benches = append(rep.Benches, kernel, oracle)
+		if kernel.NsPerOp > 0 {
+			rep.BoundSpeedup = float64(oracle.NsPerOp) / float64(kernel.NsPerOp)
+		}
+		if *minBoundSpeedup > 0 && rep.BoundSpeedup < *minBoundSpeedup {
+			return fmt.Errorf("bound_speedup = %.2f is below the -min-bound-speedup bar %.2f",
+				rep.BoundSpeedup, *minBoundSpeedup)
 		}
 	}
 

@@ -68,15 +68,10 @@ type BlockEvaluator struct {
 	caps []rational.Rat64
 
 	// Per-state scratch, reused across the states of a block (states
-	// fill sequentially, so one lane set serves them all). Only touched
-	// entries are ever read or written. remN[j] is lane j's remaining
-	// capacity as an integer numerator over the fill's single shared
-	// denominator (see fill64) — the SoA trick that keeps the hot loop
-	// in raw int64 arithmetic with no per-op gcd normalization.
-	remN    []int64
-	act     []int32
-	frozen  []bool
-	touched []int32
+	// fill sequentially, so one lane set serves them all): the kernel's
+	// lanes and the per-flow lane lists of the state being filled.
+	fill  laneFill
+	lanes [][]int32
 
 	// Per-block outputs: the k×nf rate lane of the fast path, the
 	// promotion mask, and the materialized allocations of promoted
@@ -139,10 +134,8 @@ func NewBlockEvaluator(c topology.Fabric, fs Collection) (*BlockEvaluator, error
 			b.finPaths[fi][m] = lanes[start:len(lanes):len(lanes)]
 		}
 	}
-	b.remN = make([]int64, b.nfin)
-	b.act = make([]int32, b.nfin)
-	b.frozen = make([]bool, b.nf)
-	b.touched = make([]int32, 0, b.nfin)
+	b.fill = newLaneFill(b.nfin, b.nf)
+	b.lanes = make([][]int32, b.nf)
 	return b, nil
 }
 
@@ -251,28 +244,65 @@ func (b *BlockEvaluator) ensure(k int) {
 	}
 }
 
-// fillState runs the fast fill of one state and unconditionally clears
-// the touched active-lane entries afterwards, so the next state's
-// registration starts from zero even when the fill bailed out mid-round
-// (overflow, unbounded flow, forced test overflow).
+// fillState runs the fast fill of one state over its full paths.
 func (b *BlockEvaluator) fillState(s int, ma []int) (bool, error) {
-	ok, err := b.fill64(s, ma)
-	for _, j := range b.touched {
-		b.act[j] = 0
+	for fi, m := range ma {
+		b.lanes[fi] = b.finPaths[fi][m-1]
+	}
+	forced := b.testOverflow != nil && b.testOverflow(s)
+	return b.fill.run(b.lanes, b.caps, b.rates[s*b.nf:(s+1)*b.nf], nil, forced)
+}
+
+// laneFill is the scratch of the one small-word water-filling kernel
+// (fill), indexed by lane (remN, act) and by flow (frozen). The block
+// evaluator runs it over each state's full paths, the partial evaluator
+// over trunk-relaxed lane lists; both keep one laneFill for all their
+// fills. Only touched entries are ever read or written. remN[j] is lane
+// j's remaining capacity as an integer numerator over the fill's single
+// shared denominator — the SoA trick that keeps the hot loop in raw
+// int64 arithmetic with no per-op gcd normalization.
+type laneFill struct {
+	remN    []int64
+	act     []int32
+	frozen  []bool
+	touched []int32
+}
+
+func newLaneFill(nLanes, nf int) laneFill {
+	return laneFill{
+		remN:    make([]int64, nLanes),
+		act:     make([]int32, nLanes),
+		frozen:  make([]bool, nf),
+		touched: make([]int32, 0, nLanes),
+	}
+}
+
+// run fills one state and unconditionally clears the touched
+// active-lane entries afterwards, so the next state's registration
+// starts from zero even when the fill bailed out mid-round (overflow,
+// unbounded flow, forced test overflow).
+func (f *laneFill) run(lanes [][]int32, caps, rates, sorted []rational.Rat64, forceOverflow bool) (bool, error) {
+	ok, err := f.fill(lanes, caps, rates, sorted, forceOverflow)
+	for _, j := range f.touched {
+		f.act[j] = 0
 	}
 	return ok, err
 }
 
-// fill64 is the small-word progressive filling of one state over the
-// shared lanes, restricted to the touched lanes and computing the exact
-// values of Evaluator.eval64 in cheaper arithmetic: every remaining
-// capacity is an integer numerator over one shared denominator den, so
-// a round is cross-multiplied integer compares (min delta: remN[j]/act
-// against the incumbent), one scale pass (den multiplies by the
-// bottleneck's active count) and integer subtractions — no division and
-// no gcd normalization anywhere in the loop. den grows only by the
-// product of the bottleneck counts (bounded by 3^(|F|/3), tiny), and a
-// flow's rate canonicalizes the exact level levelN/den once at freeze.
+// fill is the small-word progressive filling of one state: flow fi
+// occupies the lanes lanes[fi], lane j has capacity caps[j], and flow
+// fi's rate goes to rates[fi]. When sorted is non-nil it also receives
+// the rates in freeze order, which is ascending: flows freeze at
+// nondecreasing levels. The fill is restricted to the touched lanes and
+// computes the exact values of the gcd-normalizing Rat64 fill
+// (Evaluator.eval64) in cheaper arithmetic: every remaining capacity is
+// an integer numerator over one shared denominator den, so a round is
+// cross-multiplied integer compares (min delta: remN[j]/act against the
+// incumbent), one scale pass (den multiplies by the bottleneck's active
+// count) and integer subtractions — no division and no gcd
+// normalization anywhere in the loop. den grows only by the product of
+// the bottleneck counts (bounded by 3^(|F|/3), tiny), and a flow's rate
+// canonicalizes the exact level levelN/den once at freeze.
 //
 // The values agree exactly with eval64's: the scaled comparisons order
 // deltas identically (operands are non-negative, the < is strict, the
@@ -281,57 +311,58 @@ func (b *BlockEvaluator) fillState(s int, ma []int) (bool, error) {
 // order, and rational.Make64(levelN, den) is the canonical form of the
 // same exact level — so rates are bit-identical (asserted by the
 // equivalence tests and the differential fuzz). The first result is
-// false when an operation overflowed int64; the caller then re-runs the
-// state on the big.Rat path, losslessly.
-func (b *BlockEvaluator) fill64(s int, ma []int) (bool, error) {
-	// Register: bump the active count of every lane on every flow's
-	// path, collecting each lane the first time it is touched. The
-	// insertion sort keeps the touched list in ascending lane order —
-	// the finiteIDs order of the per-state evaluator — so every sweep
-	// below visits lanes exactly as eval64 visits links.
-	b.touched = b.touched[:0]
-	for fi, m := range ma {
-		for _, j := range b.finPaths[fi][m-1] {
-			if b.act[j] == 0 {
-				b.touched = append(b.touched, j)
+// false when an operation overflowed int64, or at once after
+// registration when forceOverflow is set (the test hook); the caller
+// then re-runs the state on its big.Rat path, losslessly.
+func (f *laneFill) fill(lanes [][]int32, caps, rates, sorted []rational.Rat64, forceOverflow bool) (bool, error) {
+	// Register: bump the active count of every lane of every flow,
+	// collecting each lane the first time it is touched. The insertion
+	// sort keeps the touched list in ascending lane order — the
+	// finiteIDs order of the per-state evaluator — so every sweep below
+	// visits lanes exactly as eval64 visits links.
+	f.touched = f.touched[:0]
+	for _, path := range lanes {
+		for _, j := range path {
+			if f.act[j] == 0 {
+				f.touched = append(f.touched, j)
 			}
-			b.act[j]++
+			f.act[j]++
 		}
 	}
-	for i := 1; i < len(b.touched); i++ {
-		for t := i; t > 0 && b.touched[t] < b.touched[t-1]; t-- {
-			b.touched[t], b.touched[t-1] = b.touched[t-1], b.touched[t]
+	for i := 1; i < len(f.touched); i++ {
+		for t := i; t > 0 && f.touched[t] < f.touched[t-1]; t-- {
+			f.touched[t], f.touched[t-1] = f.touched[t-1], f.touched[t]
 		}
 	}
 	// Seed the shared denominator (the lcm of the touched capacities'
 	// denominators — 1 on unit-capacity networks) and the numerator
 	// lanes. All quantities in the fill are non-negative.
-	for fi := range b.frozen {
-		b.frozen[fi] = false
+	for fi := range f.frozen {
+		f.frozen[fi] = false
 	}
-	if b.testOverflow != nil && b.testOverflow(s) {
+	if forceOverflow {
 		return false, nil
 	}
 	den := int64(1)
-	for _, j := range b.touched {
-		q := b.caps[j].Den()
+	for _, j := range f.touched {
+		q := caps[j].Den()
 		g := gcdInt64(den, q)
 		var ok bool
 		if den, ok = mulNonNeg(den/g, q); !ok {
 			return false, nil
 		}
 	}
-	for _, j := range b.touched {
-		r, ok := mulNonNeg(b.caps[j].Num(), den/b.caps[j].Den())
+	for _, j := range f.touched {
+		r, ok := mulNonNeg(caps[j].Num(), den/caps[j].Den())
 		if !ok {
 			return false, nil
 		}
-		b.remN[j] = r
+		f.remN[j] = r
 	}
 
-	rates := b.rates[s*b.nf : (s+1)*b.nf]
+	nf := len(lanes)
 	levelN := int64(0) // the water level is the exact rational levelN/den
-	remaining := b.nf
+	remaining := nf
 	for remaining > 0 {
 		// Min-delta scan: delta_j = remN[j]/(den·act[j]); the shared den
 		// cancels, so remN[j]/act[j] < minR/minA cross-multiplies to
@@ -340,22 +371,22 @@ func (b *BlockEvaluator) fill64(s int, ma []int) (bool, error) {
 		// skips the same zero-active lanes.
 		minJ := int32(-1)
 		var minR, minA int64
-		for _, j := range b.touched {
-			a := int64(b.act[j])
+		for _, j := range f.touched {
+			a := int64(f.act[j])
 			if a == 0 {
 				continue
 			}
 			if minJ < 0 {
-				minJ, minR, minA = j, b.remN[j], a
+				minJ, minR, minA = j, f.remN[j], a
 				continue
 			}
-			lhs, ok1 := mulNonNeg(b.remN[j], minA)
+			lhs, ok1 := mulNonNeg(f.remN[j], minA)
 			rhs, ok2 := mulNonNeg(minR, a)
 			if !ok1 || !ok2 {
 				return false, nil
 			}
 			if lhs < rhs {
-				minJ, minR, minA = j, b.remN[j], a
+				minJ, minR, minA = j, f.remN[j], a
 			}
 		}
 		if minJ < 0 {
@@ -372,23 +403,23 @@ func (b *BlockEvaluator) fill64(s int, ma []int) (bool, error) {
 			if levelN, ok = mulNonNeg(levelN, minA); !ok {
 				return false, nil
 			}
-			for _, j := range b.touched {
-				if b.act[j] == 0 {
+			for _, j := range f.touched {
+				if f.act[j] == 0 {
 					continue
 				}
-				r, ok := mulNonNeg(b.remN[j], minA)
+				r, ok := mulNonNeg(f.remN[j], minA)
 				if !ok {
 					return false, nil
 				}
-				b.remN[j] = r
+				f.remN[j] = r
 			}
 		}
 		if levelN > maxInt64-minR {
 			return false, nil
 		}
 		levelN += minR
-		for _, j := range b.touched {
-			a := int64(b.act[j])
+		for _, j := range f.touched {
+			a := int64(f.act[j])
 			if a == 0 {
 				continue
 			}
@@ -396,30 +427,33 @@ func (b *BlockEvaluator) fill64(s int, ma []int) (bool, error) {
 			if !ok {
 				return false, nil
 			}
-			b.remN[j] -= used // ≥ 0: delta is the minimum over active lanes
+			f.remN[j] -= used // ≥ 0: delta is the minimum over active lanes
 		}
 		progressed := false
-		for _, j := range b.touched {
-			if b.act[j] == 0 || b.remN[j] != 0 {
+		for _, j := range f.touched {
+			if f.act[j] == 0 || f.remN[j] != 0 {
 				continue
 			}
 			// Freeze every unfrozen flow crossing the saturated lane, in
 			// ascending flow index — the order of eval64's on-lists,
 			// which are built by an ascending flow walk.
-			for fi := 0; fi < b.nf; fi++ {
-				if b.frozen[fi] || !laneOnPath(b.finPaths[fi][ma[fi]-1], j) {
+			for fi := 0; fi < nf; fi++ {
+				if f.frozen[fi] || !laneOnPath(lanes[fi], j) {
 					continue
 				}
-				b.frozen[fi] = true
+				f.frozen[fi] = true
 				level, ok := rational.Make64(levelN, den)
 				if !ok {
 					return false, nil
 				}
 				rates[fi] = level
+				if sorted != nil {
+					sorted[nf-remaining] = level
+				}
 				remaining--
 				progressed = true
-				for _, l := range b.finPaths[fi][ma[fi]-1] {
-					b.act[l]--
+				for _, l := range lanes[fi] {
+					f.act[l]--
 				}
 			}
 		}

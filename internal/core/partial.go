@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
+	"closnet/internal/obs"
 	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
@@ -42,50 +43,56 @@ import (
 // exact, so the relaxed feasible region equals the real one and the
 // bound coincides with the exact evaluation.
 //
-// Like Evaluator, the hot path runs on the rational.Rat64 small-word
-// kernel over scratch reused across calls — only the varying links of
-// each fixed flow differ between nodes, so bounding a child costs a
-// scratch reset plus O(fixed) registration, not a fresh solve — with a
-// lossless *big.Rat fallback on overflow. A PartialEvaluator is NOT
-// safe for concurrent use.
+// Each Bound is a full progressive filling of the relaxed system over
+// scratch reused across calls, on the block evaluator's
+// shared-denominator int64 kernel (laneFill). Lanes are relaxed link
+// IDs, and every flow's relaxed lane list is precomputed at
+// construction — static lanes for a free flow, static plus the varying
+// lanes of its choice for a fixed one — so a call only picks |F| lists
+// before filling. An overflow falls back losslessly to a *big.Rat
+// filling of the same system. BoundSorted returns the ascending bound
+// vector as Rat64 values with one allocation, the form the
+// branch-and-bound compares. A PartialEvaluator is NOT safe for
+// concurrent use.
 type PartialEvaluator struct {
-	nf     int
-	n      int
-	nLinks int // real links + trunk pools
+	nf, n int
 
-	// staticOf[fi] lists the relaxed links flow fi occupies regardless
-	// of assignment: the real links shared by all of its candidate paths
-	// plus its charged trunks. varyingOf[fi][m-1] lists the real links
-	// flow fi additionally occupies when fixed to choice m.
-	staticOf  [][]int
-	varyingOf [][][]int
+	// freeLanes[fi] lists the relaxed lanes flow fi occupies regardless
+	// of assignment: the real links shared by all of its candidate
+	// paths plus its charged trunks. fixedLanes[fi][m-1] is freeLanes[fi]
+	// plus the real links flow fi additionally occupies when fixed to
+	// choice m. Lane t ≥ |real links| is trunk pool t-|real links|.
+	freeLanes  [][]int32
+	fixedLanes [][][]int32
+	caps64     []rational.Rat64
+	fast       bool
+	forceBig   bool
 
-	// Scratch reused across Bound calls, indexed by relaxed link ID.
-	// on holds the static flows-on-link lists (membership there never
-	// varies); varying on-lists are rebuilt per call from the fixed
-	// suffix.
-	active     []int
-	baseActive []int
-	frozen     []bool
-	on         [][]int
-	varyIDs    []int // real links appearing in some varyingOf, for the per-call on reset
-	finiteIDs  []int
+	// Per-call scratch: the kernel, the state's lane lists and its rates.
+	fill  laneFill
+	lanes [][]int32
+	rates []rational.Rat64
 
-	caps64 []rational.Rat64
-	rem64  []rational.Rat64
-	fast   bool
-
-	forceBig bool
-
-	// big.Rat scratch for the promotion path, mirroring Evaluator.
-	remaining              []*big.Rat
-	caps                   []*big.Rat
-	actRat                 *big.Rat
-	delta                  *big.Rat
-	tmp                    *big.Rat
+	// links and pools (the real member links of each trunk) seed caps,
+	// the big.Rat capacities of every lane, built with the rest of the
+	// big.Rat scratch when boundBig first runs.
+	links                  []topology.Link
+	pools                  [][]int32
+	caps, remaining        []*big.Rat
+	actRat, delta, tmp     *big.Rat
 	level                  *big.Rat
 	xInt, yInt, aInt, bInt *big.Int
+
+	cPromotions *obs.Counter
 }
+
+// partialTestOverflow, when non-nil, forces the kernel fill of every
+// PartialEvaluator to report overflow mid-fill (after registration) on
+// the calls for which it returns true — the package-internal hook the
+// promotion tests use, since unit-capacity instances never overflow
+// naturally. It is package-wide so that tests can reach the evaluator a
+// pruned search builds internally.
+var partialTestOverflow func(fixedFrom int) bool
 
 // NewPartialEvaluator prepares repeated trunk-relaxation bounds of fs
 // over c. It fails if any flow endpoint is not a server of c or any
@@ -93,8 +100,8 @@ type PartialEvaluator struct {
 func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, error) {
 	net := c.Network()
 	links := net.Links()
-	e := &PartialEvaluator{nf: len(fs), n: c.Size()}
 	nReal := len(links)
+	e := &PartialEvaluator{nf: len(fs), n: c.Size(), links: links, fast: true}
 	for _, l := range links {
 		if l.Unbounded {
 			return nil, fmt.Errorf("partial: link %d is unbounded; the trunk relaxation needs finite capacities", l.ID)
@@ -102,15 +109,14 @@ func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, e
 	}
 
 	// Candidate paths, one per flow and choice.
-	paths := make([][]topology.Path, len(fs))
+	paths := make([]topology.Path, len(fs)*e.n)
 	for fi, f := range fs {
-		paths[fi] = make([]topology.Path, e.n)
 		for m := 1; m <= e.n; m++ {
 			p, err := c.Path(f.Src, f.Dst, m)
 			if err != nil {
 				return nil, fmt.Errorf("partial: flow %d: %w", fi, err)
 			}
-			paths[fi][m-1] = p
+			paths[fi*e.n+m-1] = p
 		}
 	}
 
@@ -120,181 +126,163 @@ func NewPartialEvaluator(c topology.Fabric, fs Collection) (*PartialEvaluator, e
 	// duplicate their one real constraint, so only pools of two or more
 	// interior links survive. Each real link belongs to at most one
 	// out-pool (keyed by its tail) and one in-pool (keyed by its head).
+	// Pools are ordered out-pools then in-pools, each by ascending key
+	// node ID, with members in ascending link ID.
 	isServer := func(id topology.NodeID) bool {
 		k := net.Node(id).Kind
 		return k == topology.KindSource || k == topology.KindDestination
 	}
-	outMembers := make(map[topology.NodeID][]int)
-	inMembers := make(map[topology.NodeID][]int)
+	interior := func(l topology.Link) bool { return !isServer(l.From) && !isServer(l.To) }
+	// Bundle key v is switch v's out-bundle, nNodes+v its in-bundle;
+	// each pool is carved from one members array with its exact size.
+	nKeys := 2 * net.NumNodes()
+	scratch := make([]int32, 2*nKeys)
+	deg, keyPool := scratch[:nKeys], scratch[nKeys:]
+	keys := func(l topology.Link) [2]int { return [2]int{int(l.From), nKeys/2 + int(l.To)} }
 	for _, l := range links {
-		if isServer(l.From) || isServer(l.To) {
+		if interior(l) {
+			for _, k := range keys(l) {
+				deg[k]++
+			}
+		}
+	}
+	total := int32(0)
+	for _, d := range deg {
+		if d >= 2 {
+			total += d
+		}
+	}
+	members := make([]int32, total)
+	for k, d := range deg {
+		keyPool[k] = -1
+		if d >= 2 {
+			keyPool[k] = int32(len(e.pools))
+			e.pools = append(e.pools, members[:0:d])
+			members = members[d:]
+		}
+	}
+	poolOf := make([]int32, 2*nReal) // out-pool of link l at l, in-pool at nReal+l; -1 if none
+	for i := range poolOf {
+		poolOf[i] = -1
+	}
+	for _, l := range links {
+		if !interior(l) {
 			continue
 		}
-		outMembers[l.From] = append(outMembers[l.From], int(l.ID))
-		inMembers[l.To] = append(inMembers[l.To], int(l.ID))
-	}
-	outPoolOf := make([]int, nReal)
-	inPoolOf := make([]int, nReal)
-	for i := range outPoolOf {
-		outPoolOf[i] = -1
-		inPoolOf[i] = -1
-	}
-	var poolLinks [][]int
-	addPools := func(members map[topology.NodeID][]int, poolOf []int) {
-		// Deterministic pool order: ascending key node ID.
-		keys := make([]int, 0, len(members))
-		for v := range members {
-			keys = append(keys, int(v))
-		}
-		sort.Ints(keys)
-		for _, v := range keys {
-			ids := members[topology.NodeID(v)]
-			if len(ids) < 2 {
-				continue
+		for side, k := range keys(l) {
+			if q := keyPool[k]; q >= 0 {
+				e.pools[q] = append(e.pools[q], int32(l.ID))
+				poolOf[side*nReal+int(l.ID)] = q
 			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				poolOf[id] = len(poolLinks)
-			}
-			poolLinks = append(poolLinks, ids)
 		}
 	}
-	addPools(outMembers, outPoolOf)
-	addPools(inMembers, inPoolOf)
-	e.nLinks = nReal + len(poolLinks)
+	nLanes := nReal + len(e.pools)
 
-	e.caps = make([]*big.Rat, e.nLinks)
-	e.caps64 = make([]rational.Rat64, e.nLinks)
-	e.rem64 = make([]rational.Rat64, e.nLinks)
-	e.remaining = make([]*big.Rat, e.nLinks)
-	e.fast = true
+	e.caps64 = make([]rational.Rat64, nLanes)
 	for _, l := range links {
-		id := int(l.ID)
-		e.caps[id] = l.Capacity
-		if c64, ok := l.Capacity64(); ok {
-			e.caps64[id] = c64
-		} else {
-			e.fast = false
-		}
-		e.finiteIDs = append(e.finiteIDs, id)
-		e.remaining[id] = new(big.Rat)
+		c64, ok := l.Capacity64()
+		e.caps64[l.ID], e.fast = c64, e.fast && ok
 	}
-	sort.Ints(e.finiteIDs)
-	for t, members := range poolLinks {
-		pooled := new(big.Rat)
-		for _, id := range members {
-			pooled.Add(pooled, links[id].Capacity)
+	for t, ids := range e.pools {
+		sum := rational.Zero64()
+		for _, id := range ids {
+			var ok bool
+			if sum, ok = sum.Add(e.caps64[id]); !ok {
+				e.fast = false
+			}
 		}
-		tid := nReal + t
-		e.caps[tid] = pooled
-		if c64, ok := rational.FromRat(pooled); ok {
-			e.caps64[tid] = c64
-		} else {
-			e.fast = false
-		}
-		e.finiteIDs = append(e.finiteIDs, tid)
-		e.remaining[tid] = new(big.Rat)
+		e.caps64[nReal+t] = sum
 	}
 
-	// Per-flow static links, varying links and charged trunks. A trunk
-	// is charged exactly when every candidate path crosses its pool
-	// exactly once (then the flow consumes one unit of pool capacity
-	// under any completion).
-	e.staticOf = make([][]int, len(fs))
-	e.varyingOf = make([][][]int, len(fs))
-	isVarying := make([]bool, nReal)
-	occ := make([]int, nReal)
+	// Per-flow lane lists. A trunk is charged exactly when every
+	// candidate path crosses its pool exactly once (then the flow
+	// consumes one unit of pool capacity under any completion). The
+	// lists are carved out of one shared backing array; lists already
+	// carved keep pointing into an outgrown one, which stays valid.
+	e.freeLanes = make([][]int32, len(fs))
+	e.fixedLanes = make([][][]int32, len(fs))
+	rows := make([][]int32, len(fs)*e.n)
+	backing := make([]int32, 0, len(fs)*(e.n+1)*8)
+	occ := make([]int32, nReal)
+	cnt := make([]int32, len(e.pools))
+	var trunks []int32
+	count := func(p topology.Path, d int32) {
+		for _, l := range p {
+			for _, q := range [2]int32{poolOf[l], poolOf[nReal+int(l)]} {
+				if q >= 0 {
+					cnt[q] += d
+				}
+			}
+		}
+	}
 	for fi := range fs {
-		for _, p := range paths[fi] {
+		fp := paths[fi*e.n : (fi+1)*e.n]
+		for _, p := range fp {
 			for _, l := range p {
 				occ[l]++
 			}
 		}
-		trunks := make(map[int]bool)
-		for pi, p := range paths[fi] {
-			cnt := make(map[int]int)
-			for _, l := range p {
-				if q := outPoolOf[l]; q >= 0 {
-					cnt[q]++
-				}
-				if q := inPoolOf[l]; q >= 0 {
-					cnt[q]++
-				}
-			}
+		trunks = trunks[:0]
+		for pi, p := range fp {
+			count(p, 1)
 			if pi == 0 {
-				for q, crossings := range cnt {
-					if crossings == 1 {
-						trunks[q] = true
+				for _, l := range p {
+					for _, q := range [2]int32{poolOf[l], poolOf[nReal+int(l)]} {
+						if q >= 0 && cnt[q] == 1 && !slices.Contains(trunks, q) {
+							trunks = append(trunks, q)
+						}
 					}
 				}
 			} else {
-				for q := range trunks {
-					if cnt[q] != 1 {
-						delete(trunks, q)
-					}
-				}
+				trunks = slices.DeleteFunc(trunks, func(q int32) bool { return cnt[q] != 1 })
+			}
+			count(p, -1)
+		}
+		slices.Sort(trunks)
+		start := len(backing)
+		for _, l := range fp[0] {
+			if occ[l] == int32(e.n) {
+				backing = append(backing, int32(l)) // static: on every candidate path
 			}
 		}
-		e.varyingOf[fi] = make([][]int, e.n)
-		for m, p := range paths[fi] {
+		for _, q := range trunks {
+			backing = append(backing, int32(nReal)+q)
+		}
+		e.freeLanes[fi] = backing[start:len(backing):len(backing)]
+		e.fixedLanes[fi] = rows[fi*e.n : (fi+1)*e.n : (fi+1)*e.n]
+		for m, p := range fp {
+			start := len(backing)
+			backing = append(backing, e.freeLanes[fi]...)
 			for _, l := range p {
-				if occ[l] == e.n {
-					continue // static: on every candidate path
+				if occ[l] != int32(e.n) {
+					backing = append(backing, int32(l))
 				}
-				e.varyingOf[fi][m] = append(e.varyingOf[fi][m], int(l))
-				isVarying[l] = true
 			}
+			e.fixedLanes[fi][m] = backing[start:len(backing):len(backing)]
 		}
-		var static []int
-		for _, l := range paths[fi][0] {
-			if occ[l] == e.n {
-				static = append(static, int(l))
-			}
-		}
-		for _, p := range paths[fi] {
+		for _, p := range fp {
 			for _, l := range p {
 				occ[l] = 0
 			}
 		}
-		trunkIDs := make([]int, 0, len(trunks))
-		for q := range trunks {
-			trunkIDs = append(trunkIDs, nReal+q)
-		}
-		sort.Ints(trunkIDs)
-		e.staticOf[fi] = append(static, trunkIDs...)
 	}
-
-	// Static membership: every flow sits on its static links and trunks
-	// for every partial assignment; varying links start empty and are
-	// filled per call with the fixed suffix.
-	e.on = make([][]int, e.nLinks)
-	e.baseActive = make([]int, e.nLinks)
-	e.active = make([]int, e.nLinks)
-	for fi := range fs {
-		for _, id := range e.staticOf[fi] {
-			e.on[id] = append(e.on[id], fi)
-			e.baseActive[id]++
-		}
-	}
-	for id, v := range isVarying {
-		if v {
-			e.varyIDs = append(e.varyIDs, id)
-		}
-	}
-	e.frozen = make([]bool, len(fs))
-	e.actRat = new(big.Rat)
-	e.delta = new(big.Rat)
-	e.tmp = new(big.Rat)
-	e.level = new(big.Rat)
-	e.xInt, e.yInt = new(big.Int), new(big.Int)
-	e.aInt, e.bInt = new(big.Int), new(big.Int)
+	e.fill = newLaneFill(nLanes, len(fs))
+	e.lanes = make([][]int32, len(fs))
+	e.rates = make([]rational.Rat64, len(fs))
 	return e, nil
 }
 
 // ForceBig pins Bound to the *big.Rat path when on is true, bypassing
-// the Rat64 kernel. The results are identical; it exists for
-// differential tests.
+// the Rat64 kernel (BoundSorted then reports !ok). The results are
+// identical; it exists for differential tests.
 func (e *PartialEvaluator) ForceBig(on bool) { e.forceBig = on }
+
+// Instrument attaches the observability layer: core.partial_promotions
+// counts the bounds whose kernel fill overflowed and was re-run on
+// *big.Rat. A nil o leaves the evaluator uninstrumented.
+func (e *PartialEvaluator) Instrument(o *obs.Obs) {
+	e.cPromotions = o.Registry().Counter("core.partial_promotions")
+}
 
 // Bound computes the max-min fair allocation of the trunk relaxation in
 // which flows [fixedFrom, len(fs)) are routed per ma and flows
@@ -304,165 +292,110 @@ func (e *PartialEvaluator) ForceBig(on bool) { e.forceBig = on }
 // evaluation. Only ma[fixedFrom:] is read; the returned Allocation is
 // freshly allocated.
 func (e *PartialEvaluator) Bound(ma MiddleAssignment, fixedFrom int) (Allocation, error) {
-	if len(ma) != e.nf {
-		return nil, fmt.Errorf("partial: assignment has %d middles for %d flows", len(ma), e.nf)
-	}
-	if fixedFrom < 0 || fixedFrom > e.nf {
-		return nil, fmt.Errorf("partial: fixedFrom %d out of range [0, %d]", fixedFrom, e.nf)
-	}
-	for fi := fixedFrom; fi < e.nf; fi++ {
-		if m := ma[fi]; m < 1 || m > e.n {
-			return nil, fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
-		}
+	if err := e.setLanes(ma, fixedFrom); err != nil {
+		return nil, err
 	}
 	if e.fast && !e.forceBig {
-		rates, ok, err := e.bound64(ma, fixedFrom)
+		ok, err := e.fill64(fixedFrom, nil)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			return rates, nil
+			a := make(Allocation, e.nf)
+			for fi, r := range e.rates {
+				a[fi] = r.Rat()
+			}
+			return a, nil
 		}
+		e.cPromotions.Inc()
 	}
-	return e.boundBig(ma, fixedFrom)
+	return e.boundBig()
 }
 
-// register resets the varying scratch: varying on-lists are rebuilt for
-// the fixed suffix, active counts start from the static membership, and
-// the frozen flags clear. Static on-lists (shared links and trunks) are
-// shared across calls and never mutated.
-func (e *PartialEvaluator) register(ma MiddleAssignment, fixedFrom int) {
-	for _, id := range e.varyIDs {
-		e.on[id] = e.on[id][:0]
+// BoundSorted returns the ascending (sorted) vector of Bound(ma,
+// fixedFrom) as Rat64 values in one fresh slice, without materializing
+// *big.Rat rates: flows freeze at nondecreasing levels, so the kernel
+// emits them in order. ok is false when the kernel overflowed or
+// ForceBig is set; the caller then takes Bound, which redoes the call
+// on *big.Rat (and counts the promotion).
+func (e *PartialEvaluator) BoundSorted(ma MiddleAssignment, fixedFrom int) ([]rational.Rat64, bool, error) {
+	if err := e.setLanes(ma, fixedFrom); err != nil {
+		return nil, false, err
 	}
-	copy(e.active, e.baseActive)
-	for fi := range e.frozen {
-		e.frozen[fi] = false
+	if !e.fast || e.forceBig {
+		return nil, false, nil
+	}
+	sorted := make([]rational.Rat64, e.nf)
+	ok, err := e.fill64(fixedFrom, sorted)
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return sorted, true, nil
+}
+
+// setLanes validates a partial assignment and points each flow at its
+// relaxed lane list: free below fixedFrom, fixed to ma[fi] from it on.
+func (e *PartialEvaluator) setLanes(ma MiddleAssignment, fixedFrom int) error {
+	if len(ma) != e.nf {
+		return fmt.Errorf("partial: assignment has %d middles for %d flows", len(ma), e.nf)
+	}
+	if fixedFrom < 0 || fixedFrom > e.nf {
+		return fmt.Errorf("partial: fixedFrom %d out of range [0, %d]", fixedFrom, e.nf)
 	}
 	for fi := fixedFrom; fi < e.nf; fi++ {
-		for _, id := range e.varyingOf[fi][ma[fi]-1] {
-			e.on[id] = append(e.on[id], fi)
-			e.active[id]++
+		if m := ma[fi]; m < 1 || m > e.n {
+			return fmt.Errorf("partial: flow %d: middle %d out of range [1, %d]", fi, m, e.n)
 		}
 	}
+	copy(e.lanes, e.freeLanes[:fixedFrom])
+	for fi := fixedFrom; fi < e.nf; fi++ {
+		e.lanes[fi] = e.fixedLanes[fi][ma[fi]-1]
+	}
+	return nil
 }
 
-// linksOf calls fn for every relaxed link flow fi occupies under the
-// partial assignment.
-func (e *PartialEvaluator) linksOf(fi, fixedFrom int, ma MiddleAssignment, fn func(id int)) {
-	for _, id := range e.staticOf[fi] {
-		fn(id)
+// fill64 runs the kernel over the lanes setLanes prepared, leaving the
+// rates in e.rates (and, when sorted is non-nil, ascending in sorted).
+func (e *PartialEvaluator) fill64(fixedFrom int, sorted []rational.Rat64) (bool, error) {
+	forced := partialTestOverflow != nil && partialTestOverflow(fixedFrom)
+	return e.fill.run(e.lanes, e.caps64, e.rates, sorted, forced)
+}
+
+// boundBig is the exact progressive filling of the state setLanes
+// prepared, on *big.Rat over every lane in ascending order: the
+// promotion target of the kernel and the oracle of the differential
+// tests. It mirrors Evaluator.evalBig and shares the kernel's act and
+// frozen scratch, leaving act zeroed as the kernel expects.
+func (e *PartialEvaluator) boundBig() (Allocation, error) {
+	if e.caps == nil {
+		e.initBig()
 	}
-	if fi >= fixedFrom {
-		for _, id := range e.varyingOf[fi][ma[fi]-1] {
-			fn(id)
+	act, frozen := e.fill.act, e.fill.frozen
+	defer clear(act)
+	for _, lanes := range e.lanes {
+		for _, j := range lanes {
+			act[j]++
 		}
 	}
-}
-
-// bound64 is the small-word progressive filling of the relaxed system,
-// mirroring Evaluator.eval64: same bottleneck scan, same tie-breaking,
-// same exact arithmetic. The second result is false when an operation
-// overflowed int64; the caller then redoes the state on boundBig.
-func (e *PartialEvaluator) bound64(ma MiddleAssignment, fixedFrom int) (Allocation, bool, error) {
-	e.register(ma, fixedFrom)
-	for _, id := range e.finiteIDs {
-		e.rem64[id] = e.caps64[id]
+	clear(frozen)
+	for j, c := range e.caps {
+		e.remaining[j].Set(c)
 	}
 	rates := make(rational.Vec, e.nf)
-	if e.nf == 0 {
-		return rates, true, nil
-	}
-	level := rational.Zero64()
-	remainingFlows := e.nf
-	for remainingFlows > 0 {
-		minID := -1
-		var minDelta rational.Rat64
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
-				continue
-			}
-			d, ok := e.rem64[id].DivInt(int64(e.active[id]))
-			if !ok {
-				return nil, false, nil
-			}
-			if minID < 0 || d.Cmp(minDelta) < 0 {
-				minID = id
-				minDelta = d
-			}
-		}
-		if minID < 0 {
-			return nil, false, ErrUnboundedFlow
-		}
-		var ok bool
-		if level, ok = level.Add(minDelta); !ok {
-			return nil, false, nil
-		}
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
-				continue
-			}
-			used, ok := minDelta.MulInt(int64(e.active[id]))
-			if !ok {
-				return nil, false, nil
-			}
-			if e.rem64[id], ok = e.rem64[id].Sub(used); !ok {
-				return nil, false, nil
-			}
-		}
-		var levelRat *big.Rat
-		progressed := false
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 || !e.rem64[id].IsZero() {
-				continue
-			}
-			for _, fi := range e.on[id] {
-				if e.frozen[fi] {
-					continue
-				}
-				e.frozen[fi] = true
-				if levelRat == nil {
-					levelRat = level.Rat()
-				}
-				rates[fi] = levelRat
-				remainingFlows--
-				progressed = true
-				e.linksOf(fi, fixedFrom, ma, func(l int) { e.active[l]-- })
-			}
-		}
-		if !progressed {
-			return nil, false, errors.New("partial: no progress (internal invariant violated)")
-		}
-	}
-	return rates, true, nil
-}
-
-// boundBig is the exact progressive filling of the relaxed system on
-// *big.Rat, the promotion target of bound64 and the oracle of the
-// differential tests. It mirrors Evaluator.evalBig.
-func (e *PartialEvaluator) boundBig(ma MiddleAssignment, fixedFrom int) (Allocation, error) {
-	e.register(ma, fixedFrom)
-	for _, id := range e.finiteIDs {
-		e.remaining[id].Set(e.caps[id])
-	}
-	rates := make(rational.Vec, e.nf)
-	if e.nf == 0 {
-		return rates, nil
-	}
 	level := e.level.SetInt64(0)
 	remainingFlows := e.nf
 	for remainingFlows > 0 {
 		minID := -1
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
+		for id, a := range act {
+			if a == 0 {
 				continue
 			}
 			if minID < 0 {
 				minID = id
 				continue
 			}
-			e.aInt.SetInt64(int64(e.active[minID]))
-			e.bInt.SetInt64(int64(e.active[id]))
+			e.aInt.SetInt64(int64(act[minID]))
+			e.bInt.SetInt64(int64(a))
 			e.xInt.Mul(e.remaining[id].Num(), e.remaining[minID].Denom())
 			e.xInt.Mul(e.xInt, e.aInt)
 			e.yInt.Mul(e.remaining[minID].Num(), e.remaining[id].Denom())
@@ -474,33 +407,35 @@ func (e *PartialEvaluator) boundBig(ma MiddleAssignment, fixedFrom int) (Allocat
 		if minID < 0 {
 			return nil, ErrUnboundedFlow
 		}
-		e.actRat.SetInt64(int64(e.active[minID]))
+		e.actRat.SetInt64(int64(act[minID]))
 		e.delta.Quo(e.remaining[minID], e.actRat)
 
 		level.Add(level, e.delta)
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 {
+		for id, a := range act {
+			if a == 0 {
 				continue
 			}
-			e.actRat.SetInt64(int64(e.active[id]))
+			e.actRat.SetInt64(int64(a))
 			e.tmp.Mul(e.delta, e.actRat)
 			e.remaining[id].Sub(e.remaining[id], e.tmp)
 		}
 
 		progressed := false
-		for _, id := range e.finiteIDs {
-			if e.active[id] == 0 || e.remaining[id].Sign() != 0 {
+		for id, a := range act {
+			if a == 0 || e.remaining[id].Sign() != 0 {
 				continue
 			}
-			for _, fi := range e.on[id] {
-				if e.frozen[fi] {
+			for fi, lanes := range e.lanes {
+				if frozen[fi] || !laneOnPath(lanes, int32(id)) {
 					continue
 				}
-				e.frozen[fi] = true
+				frozen[fi] = true
 				rates[fi] = rational.Copy(level)
 				remainingFlows--
 				progressed = true
-				e.linksOf(fi, fixedFrom, ma, func(l int) { e.active[l]-- })
+				for _, l := range lanes {
+					act[l]--
+				}
 			}
 		}
 		if !progressed {
@@ -508,4 +443,29 @@ func (e *PartialEvaluator) boundBig(ma MiddleAssignment, fixedFrom int) (Allocat
 		}
 	}
 	return rates, nil
+}
+
+// initBig builds the *big.Rat scratch of boundBig: the real link
+// capacities, the pooled trunk capacities summed exactly, and the
+// remaining-capacity and arithmetic temporaries.
+func (e *PartialEvaluator) initBig() {
+	nReal := len(e.links)
+	e.caps = make([]*big.Rat, nReal+len(e.pools))
+	e.remaining = make([]*big.Rat, len(e.caps))
+	for _, l := range e.links {
+		e.caps[l.ID] = l.Capacity
+	}
+	for t, ids := range e.pools {
+		pooled := new(big.Rat)
+		for _, id := range ids {
+			pooled.Add(pooled, e.links[id].Capacity)
+		}
+		e.caps[nReal+t] = pooled
+	}
+	for j := range e.remaining {
+		e.remaining[j] = new(big.Rat)
+	}
+	e.actRat, e.delta, e.tmp, e.level = new(big.Rat), new(big.Rat), new(big.Rat), new(big.Rat)
+	e.xInt, e.yInt = new(big.Int), new(big.Int)
+	e.aInt, e.bInt = new(big.Int), new(big.Int)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"closnet/internal/obs"
 	"closnet/internal/rational"
 	"closnet/internal/topology"
 )
@@ -109,37 +110,54 @@ func TestPartialBoundAdmissible(t *testing.T) {
 	}
 }
 
-// TestPartialBound64MatchesBig: the Rat64 fast path and the pinned
-// big.Rat path must agree exactly at every depth — the differential
-// that keeps the overflow-promotion seam honest.
-func TestPartialBound64MatchesBig(t *testing.T) {
+// TestPartialMidFillPromotion drives the overflow fallback through the
+// test hook: a kernel fill forced to overflow after registration must
+// leave Bound's result unchanged (redone on big.Rat), make BoundSorted
+// report !ok, count one core.partial_promotions per promoted Bound, and
+// leave the kernel's scratch clean for the unforced calls in between.
+func TestPartialMidFillPromotion(t *testing.T) {
 	c := topology.MustClos(3)
 	fs := partialCollection(c)
-	fast, err := NewPartialEvaluator(c, fs)
+	ref, err := NewPartialEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewPartialEvaluator(c, fs)
+	pe, err := NewPartialEvaluator(c, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.ForceBig(true)
-	nf := len(fs)
+	reg := obs.NewRegistry()
+	pe.Instrument(&obs.Obs{Reg: reg})
+	forced := false
+	partialTestOverflow = func(int) bool { return forced }
+	defer func() { partialTestOverflow = nil }()
+	nf, promoted := len(fs), int64(0)
 	ma := make(MiddleAssignment, nf)
 	for fixedFrom := 0; fixedFrom <= nf; fixedFrom++ {
 		forEachAssignment(ma, fixedFrom, nf-fixedFrom, c.Size(), func() {
-			a, err := fast.Bound(ma, fixedFrom)
+			forced = false
+			want, err := ref.Bound(ma, fixedFrom)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := slow.Bound(ma, fixedFrom)
+			forced = (promoted+int64(fixedFrom))%2 == 0
+			got, err := pe.Bound(ma, fixedFrom)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !a.Equal(b) {
-				t.Fatalf("fixedFrom=%d ma=%v: fast %v != big %v", fixedFrom, ma, a, b)
+			if forced {
+				promoted++
+			}
+			if !got.Equal(want) {
+				t.Fatalf("fixedFrom=%d ma=%v forced=%v: %v != %v", fixedFrom, ma, forced, got, want)
+			}
+			if _, ok, err := pe.BoundSorted(ma, fixedFrom); err != nil || ok == forced {
+				t.Fatalf("fixedFrom=%d ma=%v forced=%v: BoundSorted ok=%v err=%v", fixedFrom, ma, forced, ok, err)
 			}
 		})
+	}
+	if got := reg.Snapshot().Counters["core.partial_promotions"]; promoted == 0 || got != promoted {
+		t.Errorf("core.partial_promotions = %d, want %d", got, promoted)
 	}
 }
 
@@ -174,8 +192,9 @@ func TestPartialBoundErrors(t *testing.T) {
 
 // FuzzPartialBoundAdmissible drives the trunk relaxation with arbitrary
 // byte-encoded C_2 instances: at every depth the bound must dominate
-// all completions, equal the exact evaluation at the leaves, and agree
-// between the Rat64 and big.Rat paths.
+// all completions, equal the exact evaluation at the leaves, agree
+// between the Rat64 and big.Rat paths, and come back from BoundSorted
+// as exactly the sorted Bound vector.
 func FuzzPartialBoundAdmissible(f *testing.F) {
 	f.Add([]byte{0, 0, 0}, uint8(0))
 	f.Add([]byte{1, 2, 1, 3, 4, 0, 5, 6, 1}, uint8(1))
@@ -223,6 +242,19 @@ func FuzzPartialBoundAdmissible(f *testing.F) {
 		}
 		if !bound.Equal(bigBound) {
 			t.Fatalf("fast %v != big %v", bound, bigBound)
+		}
+		sorted, ok, err := pe.BoundSorted(ma, fixedFrom)
+		if err != nil || !ok {
+			t.Fatalf("BoundSorted: ok=%v err=%v", ok, err)
+		}
+		if want := bound.SortedCopy(); len(sorted) != len(want) {
+			t.Fatalf("BoundSorted %v != sorted bound %v", sorted, want)
+		} else {
+			for i, v := range sorted {
+				if v.CmpRat(want[i]) != 0 {
+					t.Fatalf("BoundSorted %v != sorted bound %v", sorted, want)
+				}
+			}
 		}
 		forEachAssignment(ma, 0, fixedFrom, c.Size(), func() {
 			exact, err := ev.Eval(ma)

@@ -10,8 +10,9 @@
 //
 //   - lex-max-min: the trunk relaxation of core.PartialEvaluator —
 //     free flows charged on aggregate per-ToR trunk capacity instead of
-//     per-middle links — water-filled on the Rat64 scratch, so a child
-//     bound costs one incremental fill, not a fresh solve;
+//     per-middle links — water-filled in full per child on the block
+//     evaluator's int64 kernel over reused scratch, its ascending vector
+//     kept as Rat64 values;
 //   - throughput-max-min: the splittable maximum-throughput LP of
 //     lp.SplittableThroughputBound restricted to the prefix's paths,
 //     with its dual certificate re-verified (weak duality), capped by
@@ -40,6 +41,7 @@ import (
 	"container/heap"
 	"context"
 	"math/big"
+	"slices"
 	"time"
 
 	"closnet/internal/core"
@@ -50,25 +52,61 @@ import (
 )
 
 // bbObjective adapts one routing objective to the branch-and-bound:
-// values are rational vectors compared by rational.LexCompare (the
-// throughput objective uses length-1 vectors), leafValue maps an exact
-// allocation to its value, and bound maps a partial assignment (flows
-// [fixedFrom, |F|) fixed per ma) to an admissible value: ≥ the value of
-// every completion.
+// values are rational vectors compared lexicographically (the
+// throughput objective uses length-1 vectors), leafValue maps state i
+// of an exact block evaluation to its value, and bound maps a partial
+// assignment (flows [fixedFrom, |F|) fixed per ma) to an admissible
+// value: ≥ the value of every completion. A leaf value may alias
+// scratch the next leafValue call overwrites.
 type bbObjective struct {
-	leafValue func(a core.Allocation) rational.Vec
-	bound     func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error)
+	leafValue func(res *core.BlockResult, i int) bbValue
+	bound     func(ma core.MiddleAssignment, fixedFrom int) (bbValue, error)
+}
+
+// bbValue is one objective value: a Rat64 vector (small) while every
+// component fits a machine word — the lex bounds and leaves of the
+// int64 kernels — and a *big.Rat vector (big) otherwise: promoted lex
+// bounds and leaves, and every throughput value.
+type bbValue struct {
+	small []rational.Rat64
+	big   rational.Vec
+}
+
+// cmp compares two values lexicographically, in Rat64.Cmp's
+// overflow-free 128-bit arithmetic when both are small.
+func (v bbValue) cmp(w bbValue) int {
+	if v.big != nil || w.big != nil {
+		return rational.LexCompare(v.vec(), w.vec())
+	}
+	for i := range v.small {
+		if c := v.small[i].Cmp(w.small[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// vec returns v as a *big.Rat vector.
+func (v bbValue) vec() rational.Vec {
+	if v.big != nil {
+		return v.big
+	}
+	out := make(rational.Vec, len(v.small))
+	for i, x := range v.small {
+		out[i] = x.Rat()
+	}
+	return out
 }
 
 // bbNode is one frontier node: a canonical digit prefix, its running
 // maximum label, the first canonical rank of its block, and its bound.
-// The root (depth 0) carries a nil bound, ordered ahead of everything.
+// The root (depth 0) carries no bound and is ordered ahead of everything.
 type bbNode struct {
 	depth  int
 	digits []int
 	max    int
 	lo     int
-	bound  rational.Vec
+	bound  bbValue
 }
 
 // bbHeap pops the best bound first, ties broken by the earliest block
@@ -80,10 +118,10 @@ type bbHeap []*bbNode
 func (h bbHeap) Len() int { return len(h) }
 func (h bbHeap) Less(i, j int) bool {
 	a, b := h[i], h[j]
-	if a.bound == nil || b.bound == nil {
-		return a.bound == nil
+	if a.depth == 0 || b.depth == 0 {
+		return a.depth == 0
 	}
-	if c := rational.LexCompare(a.bound, b.bound); c != 0 {
+	if c := a.bound.cmp(b.bound); c != 0 {
 		return c > 0
 	}
 	return a.lo < b.lo
@@ -211,7 +249,7 @@ func bbRun(ctx context.Context, c topology.Fabric, fs core.Collection, space bbS
 	bev.Instrument(eo.obs)
 
 	var (
-		incVal   rational.Vec
+		incVal   bbValue
 		incRank  = -1
 		incMA    core.MiddleAssignment
 		incAlloc core.Allocation
@@ -221,11 +259,11 @@ func bbRun(ctx context.Context, c topology.Fabric, fs core.Collection, space bbS
 	// bound beats the incumbent, or equals it while starting at an
 	// earlier rank (an equal-valued completion there would be the
 	// earliest-rank optimum the exhaustive scan reports).
-	mayImprove := func(v rational.Vec, lo int) bool {
+	mayImprove := func(v bbValue, lo int) bool {
 		if incRank < 0 {
 			return true
 		}
-		cmp := rational.LexCompare(v, incVal)
+		cmp := v.cmp(incVal)
 		return cmp > 0 || (cmp == 0 && lo < incRank)
 	}
 
@@ -252,7 +290,7 @@ func bbRun(ctx context.Context, c topology.Fabric, fs core.Collection, space bbS
 		pops++
 		node := heap.Pop(h).(*bbNode)
 		// The incumbent may have tightened since the node was pushed.
-		if node.bound != nil && !mayImprove(node.bound, node.lo) {
+		if node.depth > 0 && !mayImprove(node.bound, node.lo) {
 			eo.prunes.Inc()
 			continue
 		}
@@ -307,20 +345,19 @@ func bbRun(ctx context.Context, c topology.Fabric, fs core.Collection, space bbS
 			// Leaves are processed in the same ascending-rank order the
 			// per-state loop evaluated them in, under identical
 			// comparison and tie rules, so the incumbent sequence is
-			// unchanged.
+			// unchanged. Only a new incumbent is materialized.
 			for i, lo := range leafLo {
-				a := res.Alloc(i)
 				states++
 				eo.states.Inc()
-				val := obj.leafValue(a)
+				val := obj.leafValue(res, i)
 				cmp := 1
 				if incRank >= 0 {
-					cmp = rational.LexCompare(val, incVal)
+					cmp = val.cmp(incVal)
 				}
 				if cmp > 0 || (cmp == 0 && lo < incRank) {
-					incVal, incRank = val, lo
+					incVal, incRank = bbValue{small: slices.Clone(val.small), big: val.big}, lo
 					incMA = core.MiddleAssignment(leafBuf[i*nf : (i+1)*nf]).Copy()
-					incAlloc = a
+					incAlloc = res.Alloc(i)
 					eo.improvements.Inc()
 					eo.j.Emit("search.incumbent", obs.F{"shard": 0, "rank": lo})
 				}
@@ -331,20 +368,33 @@ func bbRun(ctx context.Context, c topology.Fabric, fs core.Collection, space bbS
 }
 
 // lexBranchBound runs the pruned lex-max-min search: trunk-relaxation
-// bounds compared as sorted vectors.
+// bounds and leaf allocations compared as sorted vectors, held as Rat64
+// values unless the kernel that produced them overflowed.
 func lexBranchBound(c topology.Fabric, fs core.Collection, opts Options) (*Result, error) {
 	pe, err := core.NewPartialEvaluator(c, fs)
 	if err != nil {
 		return nil, err
 	}
+	pe.Instrument(opts.Obs)
+	leaf := make([]rational.Rat64, len(fs))
 	obj := bbObjective{
-		leafValue: func(a core.Allocation) rational.Vec { return a.SortedCopy() },
-		bound: func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
+		leafValue: func(res *core.BlockResult, i int) bbValue {
+			if res.Promoted(i) {
+				return bbValue{big: res.Alloc(i).SortedCopy()}
+			}
+			copy(leaf, res.Rates64(i))
+			rational.Sort64(leaf)
+			return bbValue{small: leaf}
+		},
+		bound: func(ma core.MiddleAssignment, fixedFrom int) (bbValue, error) {
+			if v, ok, err := pe.BoundSorted(ma, fixedFrom); ok || err != nil {
+				return bbValue{small: v}, err
+			}
 			b, err := pe.Bound(ma, fixedFrom)
 			if err != nil {
-				return nil, err
+				return bbValue{}, err
 			}
-			return b.SortedCopy(), nil
+			return bbValue{big: b.SortedCopy()}, nil
 		},
 	}
 	return runBranchBound(c, fs, opts, obj)
@@ -362,22 +412,22 @@ func throughputBranchBound(c topology.Fabric, fs core.Collection, opts Options) 
 	}
 	net := c.Network()
 	obj := bbObjective{
-		leafValue: func(a core.Allocation) rational.Vec {
-			return rational.Vec{core.Throughput(a)}
+		leafValue: func(res *core.BlockResult, i int) bbValue {
+			return bbValue{big: rational.Vec{core.Throughput(res.Alloc(i))}}
 		},
-		bound: func(ma core.MiddleAssignment, fixedFrom int) (rational.Vec, error) {
+		bound: func(ma core.MiddleAssignment, fixedFrom int) (bbValue, error) {
 			paths, err := lp.PrefixPaths(c, fs, ma, fixedFrom)
 			if err != nil {
-				return nil, err
+				return bbValue{}, err
 			}
 			bound, err := lp.SplittableThroughputBound(net, fs, paths)
 			if err != nil {
-				return nil, err
+				return bbValue{}, err
 			}
 			if ubRat != nil && bound.Cmp(ubRat) > 0 {
 				bound = new(big.Rat).Set(ubRat)
 			}
-			return rational.Vec{bound}, nil
+			return bbValue{big: rational.Vec{bound}}, nil
 		},
 	}
 	return runBranchBound(c, fs, opts, obj)

@@ -1,12 +1,15 @@
 package search
 
 import (
+	"fmt"
 	"math/big"
+	"os"
 	"strings"
 	"testing"
 
 	"closnet/internal/core"
 	"closnet/internal/corpus"
+	"closnet/internal/gen"
 	"closnet/internal/lp"
 	"closnet/internal/rational"
 	"closnet/internal/topology"
@@ -93,6 +96,83 @@ func TestPrunedLexMatchesExhaustive(t *testing.T) {
 				t.Errorf("%s workers=%d: pruned incumbent differs:\npruned:     %v %v\nexhaustive: %v %v",
 					tc.name, workers, pruned.Assignment, pruned.Allocation, ex.Assignment, ex.Allocation)
 			}
+		}
+	}
+	testPrunedLexSearchLexShape(t)
+}
+
+// searchLexShapeSeeds is the number of search-lex-shaped instances —
+// seeded uniform 10-flow scenarios on C_4, the shape of perfbench's
+// search-lex workload — in the pruned equivalence suite; every
+// searchLexShapeLive-th one is also searched exhaustively on each run.
+const (
+	searchLexShapeSeeds = 200
+	searchLexShapeLive  = 20
+)
+
+// testPrunedLexSearchLexShape extends the equivalence suite to the
+// benchmark's shape. testdata/pruned_c4_states.golden holds, per seed,
+// the pruned search's States (bound plus leaf evaluations) and the
+// exhaustive search's assignment, rates and throughput; the pruned
+// search must reproduce every line — the same optimum, and the same
+// search tree node for node. Re-pinning runs all 200 exhaustive
+// searches (about 20 s) and fails where the two searches disagree;
+// plain runs redo every searchLexShapeLive-th one live:
+//
+//	go test ./internal/search -run TestPrunedLexMatchesExhaustive -update-golden
+func testPrunedLexSearchLexShape(t *testing.T) {
+	const golden = "testdata/pruned_c4_states.golden"
+	var want []string
+	if !*updateGolden {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update-golden to create it)", err)
+		}
+		want = strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		if len(want) != searchLexShapeSeeds {
+			t.Fatalf("%s has %d lines, want %d", golden, len(want), searchLexShapeSeeds)
+		}
+	}
+	sp, err := gen.ClosSpec(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(seed int64, states int, r *Result) string {
+		return fmt.Sprintf("%d %d %v %v %s", seed, states, r.Assignment, r.Allocation,
+			core.Throughput(r.Allocation).RatString())
+	}
+	var got []string
+	for seed := int64(1); seed <= searchLexShapeSeeds; seed++ {
+		s, err := gen.Scenario(sp, gen.TrafficConfig{Model: gen.ModelUniform, Flows: 10, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, fs, _, _, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := LexMaxMin(c, fs, Options{Pruned: true})
+		if err != nil {
+			t.Fatalf("%s: pruned: %v", s.Name, err)
+		}
+		pl := line(seed, pruned.States, pruned)
+		if *updateGolden || seed%searchLexShapeLive == 0 {
+			ex, err := LexMaxMin(c, fs, Options{})
+			if err != nil {
+				t.Fatalf("%s: exhaustive: %v", s.Name, err)
+			}
+			if el := line(seed, pruned.States, ex); el != pl {
+				t.Errorf("%s: pruned and exhaustive searches differ:\npruned:     %s\nexhaustive: %s", s.Name, pl, el)
+			}
+		}
+		if want != nil && want[seed-1] != pl {
+			t.Errorf("%s: pruned search differs from %s:\ngot:  %s\nwant: %s", s.Name, golden, pl, want[seed-1])
+		}
+		got = append(got, pl)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -178,3 +178,38 @@ func TestFlightRecorderRing(t *testing.T) {
 		t.Errorf("oldest retained entry %q, want r10", got[flightRingSize-1].ID)
 	}
 }
+
+// TestPartialPromotionsExposed: a pruned lex search registers the
+// partial evaluator's overflow counter, core.partial_promotions, in the
+// daemon's registry, so /v1/stats and /metrics both carry it (zero on
+// unit-capacity instances, which never overflow the int64 kernel).
+func TestPartialPromotionsExposed(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{})
+	if resp, body := post(t, ts.URL+"/v1/search?objective=lex&strategy=pruned", scenarioBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pruned search: status %d, body %s", resp.StatusCode, body)
+	}
+	get := func(path string) []byte {
+		r, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var stats struct {
+		Metrics obs.Snapshot `json:"metrics"`
+	}
+	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := stats.Metrics.Counters["core.partial_promotions"]; !ok || n != 0 {
+		t.Errorf("/v1/stats core.partial_promotions = %d (present %v), want 0", n, ok)
+	}
+	if out := string(get("/metrics")); !strings.Contains(out, "closnet_core_partial_promotions_total 0\n") {
+		t.Errorf("/metrics lacks closnet_core_partial_promotions_total 0:\n%s", out)
+	}
+}
